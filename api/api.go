@@ -223,6 +223,11 @@ var (
 	// backing the ring was revoked — by Producer.Hangup or by domain
 	// teardown. Distinct from ErrNoGrant (a forged capability).
 	ErrRingHangup = ring.ErrHangup
+	// ErrRingCorrupt reports a ring control word the peer scribbled:
+	// a record length beyond the slot size or a head/tail gap beyond
+	// the slot count. Distinct from ErrRingHangup: the peer is still
+	// attached, but its words cannot be trusted.
+	ErrRingCorrupt = ring.ErrRingCorrupt
 	// ErrRingRecordSize reports a record larger than the ring's slots.
 	ErrRingRecordSize = ring.ErrRecordSize
 )

@@ -118,7 +118,7 @@ func TestSwitchFlushesOnlyThatCPU(t *testing.T) {
 		t.Fatalf("CPU1 after CrossSwitchOn = %+v, want 1 flush", s)
 	}
 	if s := m.TLBStatsOn(0); s.Flushes != 1 {
-		t.Fatalf("CPU0 after CPU1 CrossSwitch = %+v, want still 1 flush", s)
+		t.Fatalf("CPU0 after CPU1 CrossSwitchOn = %+v, want still 1 flush", s)
 	}
 }
 

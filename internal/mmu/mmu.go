@@ -422,10 +422,6 @@ func (m *MMU) SwitchOn(cpu CPUID, id ContextID) error {
 	return nil
 }
 
-// CrossSwitch models one leg of a cross-domain call's context-switch
-// pair on the boot CPU; see CrossSwitchOn.
-func (m *MMU) CrossSwitch(to ContextID) error { return m.CrossSwitchOn(BootCPU, to) }
-
 // CrossSwitchOn models one leg of a cross-domain call's context-switch
 // pair (caller→target on entry, target→caller on return) on the given
 // CPU: it validates that the destination context exists and charges the
@@ -609,11 +605,6 @@ func (m *MMU) Translate(id ContextID, va VAddr, access Access) (PAddr, error) {
 	return m.TranslateOn(BootCPU, id, va, access)
 }
 
-// TranslateCurrent resolves va in the boot CPU's active context.
-func (m *MMU) TranslateCurrent(va VAddr, access Access) (PAddr, error) {
-	return m.TranslateOn(BootCPU, ContextID(m.cpu(BootCPU).current.Load()), va, access)
-}
-
 // TranslateOn resolves va in context id for the given access kind on
 // one CPU, charging TLB and page-table costs against that CPU's TLB. On
 // failure it returns a *Fault. Translation is sharded: a hit touches
@@ -666,13 +657,6 @@ func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAd
 	c.mu.Unlock()
 	pt.mu.RUnlock()
 	return PAddr(pte.Frame<<PageShift | va.Offset()), nil
-}
-
-// FlushTLB empties every CPU's TLB, charging one flush per CPU.
-func (m *MMU) FlushTLB() {
-	for i := range m.cpus {
-		m.FlushTLBOn(CPUID(i))
-	}
 }
 
 // FlushTLBOn empties one CPU's TLB, charging the flush cost.

@@ -12,33 +12,14 @@ import (
 // group, the way active-message systems vector requests. Local
 // handles have no batcher and dispatch one by one.
 //
-// DispatchBatch receives entries whose handles all name this batcher.
-// It records each entry's results or error with SetResult and returns
-// an error only when the group as a whole could not be attempted (the
-// route itself failed); per-call failures are per-entry state.
+// DispatchBatch receives entries whose handles all name this batcher,
+// and the mode of the Batch that formed the group (telemetry, not
+// routing: dispatch semantics are the same in every mode). It records
+// each entry's results or error with SetResult and returns an error
+// only when the group as a whole could not be attempted (the route
+// itself failed); per-call failures are per-entry state.
 type Batcher interface {
-	DispatchBatch(calls []BatchCall) error
-}
-
-// ModeBatcher is an optional Batcher extension for batchers that want
-// to know which dispatch mode formed the group they receive — the
-// cross-domain proxy records it in the flight recorder's
-// batch-dispatch events. It is telemetry, not routing: dispatch
-// semantics are identical to DispatchBatch.
-type ModeBatcher interface {
-	Batcher
-	DispatchBatchMode(calls []BatchCall, mode BatchMode) error
-}
-
-// dispatchGroup hands one group to its batcher, threading the batch
-// mode through when the batcher can use it.
-//
-//paramecium:hotpath
-func dispatchGroup(bt Batcher, calls []BatchCall, mode BatchMode) error {
-	if mb, ok := bt.(ModeBatcher); ok {
-		return mb.DispatchBatchMode(calls, mode)
-	}
-	return bt.DispatchBatch(calls)
+	DispatchBatch(calls []BatchCall, mode BatchMode) error
 }
 
 // BatchCall is one queued invocation of a Batch: the resolved handle,
@@ -49,6 +30,14 @@ type BatchCall struct {
 	out  []any // caller-provided result buffer (AddInto); may be nil
 	res  []any
 	err  error
+}
+
+// NewBatchCall returns an entry calling h with args, its results
+// appended to out (nil for none). A Batcher carries a single call
+// through h as a group of one such entry, so single and grouped calls
+// share one dispatch path.
+func NewBatchCall(h MethodHandle, out []any, args ...any) BatchCall {
+	return BatchCall{h: h, args: args, out: out}
 }
 
 // Decl returns the type information of the entry's method.
@@ -182,7 +171,7 @@ func (b *Batch) Add(h MethodHandle, args ...any) error {
 // After Run, the entry's Results are out plus exactly the method's
 // results; the buffer's array is the caller's to reuse once read.
 func (b *Batch) AddInto(h MethodHandle, out []any, args ...any) error {
-	if h.call == nil {
+	if h.into == nil {
 		return fmt.Errorf("%w: batch entry through zero method handle", ErrUnbound)
 	}
 	if err := CheckArity(h.decl, args); err != nil {
@@ -251,11 +240,7 @@ func (b *Batch) Run() error {
 	for i := 0; i < len(calls); {
 		c := &calls[i]
 		if c.h.batcher == nil {
-			if c.out != nil {
-				c.res, c.err = c.h.CallInto(c.out, c.args...)
-			} else {
-				c.res, c.err = c.h.Call(c.args...)
-			}
+			c.res, c.err = c.h.CallInto(c.out, c.args...)
 			i++
 			continue
 		}
@@ -264,7 +249,7 @@ func (b *Batch) Run() error {
 			j++
 		}
 		b.crossings++
-		if err := dispatchGroup(c.h.batcher, calls[i:j], InOrder); err != nil && firstErr == nil {
+		if err := c.h.batcher.DispatchBatch(calls[i:j], InOrder); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		i = j
@@ -328,11 +313,7 @@ func (b *Batch) runGrouped() error {
 					continue
 				}
 				c := &calls[i]
-				if c.out != nil {
-					c.res, c.err = c.h.CallInto(c.out, c.args...)
-				} else {
-					c.res, c.err = c.h.Call(c.args...)
-				}
+				c.res, c.err = c.h.CallInto(c.out, c.args...)
 			}
 			continue
 		}
@@ -345,7 +326,7 @@ func (b *Batch) runGrouped() error {
 		}
 		group := b.scratch[start:len(b.scratch):len(b.scratch)]
 		b.crossings++
-		if err := dispatchGroup(b.targets[k], group, Grouped); err != nil && firstErr == nil {
+		if err := b.targets[k].DispatchBatch(group, Grouped); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		// Scatter: each group entry's outcome lands back in the

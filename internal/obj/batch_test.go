@@ -142,7 +142,7 @@ type recordingBatcher struct {
 	entries int
 }
 
-func (r *recordingBatcher) DispatchBatch(calls []BatchCall) error {
+func (r *recordingBatcher) DispatchBatch(calls []BatchCall, _ BatchMode) error {
 	r.groups++
 	r.entries += len(calls)
 	for i := range calls {
@@ -293,7 +293,7 @@ type orderedBatcher struct {
 	seq  int
 }
 
-func (o *orderedBatcher) DispatchBatch(calls []BatchCall) error {
+func (o *orderedBatcher) DispatchBatch(calls []BatchCall, _ BatchMode) error {
 	o.groups++
 	o.entries += len(calls)
 	for i := range calls {
@@ -502,7 +502,7 @@ func TestBatchGroupedPartialFailure(t *testing.T) {
 // target.
 type failingBatcher struct{}
 
-func (f *failingBatcher) DispatchBatch(calls []BatchCall) error {
+func (f *failingBatcher) DispatchBatch(calls []BatchCall, _ BatchMode) error {
 	err := errors.New("route down")
 	for i := range calls {
 		calls[i].SetResult(nil, err)
@@ -544,8 +544,8 @@ type uncomparableBatcher struct {
 	pad    []int
 }
 
-func (u uncomparableBatcher) DispatchBatch(calls []BatchCall) error {
-	return u.counts.DispatchBatch(calls)
+func (u uncomparableBatcher) DispatchBatch(calls []BatchCall, mode BatchMode) error {
+	return u.counts.DispatchBatch(calls, mode)
 }
 
 // TestBatchModeDefaultsAndSurvivesReset: the default mode is InOrder,

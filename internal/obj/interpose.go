@@ -184,15 +184,16 @@ func (ii *interposedIface) Resolve(method string) (MethodHandle, error) {
 	if err != nil {
 		return MethodHandle{}, err
 	}
-	return MethodHandle{decl: th.decl, call: func(args ...any) ([]any, error) {
+	return MethodHandle{decl: th.decl, into: func(out []any, args ...any) ([]any, error) {
 		st := ii.ip.state.Load()
 		if st.meter != nil {
 			st.meter.Charge(clock.OpIndirect)
 		}
 		if w, ok := st.wraps[ii.name][method]; ok {
-			return w(th.Call, args...)
+			res, err := w(th.Call, args...)
+			return appendResults(out, res, err)
 		}
-		return th.call(args...)
+		return th.into(out, args...)
 	}}, nil
 }
 

@@ -139,20 +139,20 @@ func (o *Object) Delegate(ifaceName string, to Instance) error {
 	}
 	for i := range bi.decl.Methods {
 		m := &bi.decl.Methods[i]
-		var fn Method
+		var into MethodInto
 		if h, err := target.Resolve(m.Name); err == nil {
-			fn = h.Call
+			into = h.CallInto
 		} else {
 			// The target declares a different method set; keep the
 			// late-bound forward so the mismatch surfaces per call.
 			name := m.Name
-			fn = func(args ...any) ([]any, error) {
+			into = intoOf(func(args ...any) ([]any, error) {
 				return target.Invoke(name, args...)
-			}
+			})
 		}
 		// Only bind slots still empty: methods the object bound itself
 		// take precedence over the delegate's.
-		bi.slots[m.slot].CompareAndSwap(nil, &methodImpl{fn: fn})
+		bi.slots[m.slot].CompareAndSwap(nil, &methodImpl{into: into})
 	}
 	return nil
 }
@@ -185,12 +185,9 @@ type BoundInterface struct {
 	handles []MethodHandle
 }
 
-// methodImpl is one slot's implementation: the plain dispatch form and
-// optionally the buffer-threading form. fn is always set (BindInto
-// wraps the into form), so every caller of the plain path works no
-// matter how the method was bound.
+// methodImpl is one slot's implementation, in the buffer-threading
+// form: Bind wraps a plain Method once, at bind time.
 type methodImpl struct {
-	fn   Method
 	into MethodInto
 }
 
@@ -209,16 +206,6 @@ func newBoundInterface(decl *InterfaceDecl, state any, meter *clock.Meter) *Boun
 		slot := &b.slots[i]
 		b.handles[i] = MethodHandle{
 			decl: md,
-			call: func(args ...any) ([]any, error) {
-				m := slot.Load()
-				if m == nil {
-					return nil, fmt.Errorf("%w: %q.%s", ErrUnbound, decl.Name, md.Name)
-				}
-				if meter != nil {
-					meter.Charge(clock.OpIndirect)
-				}
-				return m.fn(args...)
-			},
 			into: func(out []any, args ...any) ([]any, error) {
 				m := slot.Load()
 				if m == nil {
@@ -227,14 +214,7 @@ func newBoundInterface(decl *InterfaceDecl, state any, meter *clock.Meter) *Boun
 				if meter != nil {
 					meter.Charge(clock.OpIndirect)
 				}
-				if m.into != nil {
-					return m.into(out, args...)
-				}
-				res, err := m.fn(args...)
-				if err != nil {
-					return nil, err
-				}
-				return append(out, res...), nil
+				return m.into(out, args...)
 			},
 		}
 	}
@@ -256,7 +236,7 @@ func (b *BoundInterface) Bind(method string, fn Method) error {
 	if fn == nil {
 		return fmt.Errorf("obj: nil implementation for %q.%s", b.decl.Name, method)
 	}
-	b.slots[md.slot].Store(&methodImpl{fn: fn})
+	b.slots[md.slot].Store(&methodImpl{into: intoOf(fn)})
 	return nil
 }
 
@@ -271,8 +251,8 @@ func (b *BoundInterface) MustBind(method string, fn Method) *BoundInterface {
 // BindInto installs a method in the buffer-threading form: callers
 // that go through MethodHandle.CallInto hand the implementation a
 // result buffer to append into, so the invocation allocates nothing.
-// Plain Invoke/Call callers are served by a wrapper that passes a nil
-// buffer, preserving the ordinary return-a-fresh-slice semantics.
+// Plain Invoke/Call callers pass a nil buffer, preserving the
+// ordinary return-a-fresh-slice semantics.
 func (b *BoundInterface) BindInto(method string, fn MethodInto) error {
 	md, ok := b.decl.Method(method)
 	if !ok {
@@ -281,10 +261,7 @@ func (b *BoundInterface) BindInto(method string, fn MethodInto) error {
 	if fn == nil {
 		return fmt.Errorf("obj: nil implementation for %q.%s", b.decl.Name, method)
 	}
-	b.slots[md.slot].Store(&methodImpl{
-		fn:   func(args ...any) ([]any, error) { return fn(nil, args...) },
-		into: fn,
-	})
+	b.slots[md.slot].Store(&methodImpl{into: fn})
 	return nil
 }
 

@@ -43,9 +43,10 @@ const (
 	// KindCrossingEnd marks the return switch of a crossing. Operands
 	// mirror KindCrossingBegin.
 	KindCrossingEnd
-	// KindBatchDispatch marks one vectored group hitting a proxy.
-	// Domain is the caller; A is the group size; B is the batch mode
-	// (0 in-order, 1 grouped).
+	// KindBatchDispatch marks one group formed by obj.Batch hitting a
+	// proxy; a single call, a group of one, emits none. Domain is the
+	// caller; A is the group size; B is the batch mode (0 in-order, 1
+	// grouped).
 	KindBatchDispatch
 	// KindTrap marks a trap being raised. Domain is the trapping
 	// context; A is the trap vector; B is the trap argument word.

@@ -9,6 +9,7 @@ import (
 
 	"paramecium/internal/clock"
 	"paramecium/internal/obj"
+	"paramecium/internal/probe"
 )
 
 var batchDecl = obj.MustInterfaceDecl("test.batch.v1",
@@ -91,6 +92,81 @@ func TestBatchCrossesOnce(t *testing.T) {
 	}
 	if p.Calls() != size {
 		t.Fatalf("Calls = %d, want %d (every entry counts)", p.Calls(), size)
+	}
+}
+
+// TestSingleCallIsGroupOfOne: a single call crosses through the same
+// handler as a Batch of one. Their meter deltas match op for op except
+// the batch's one OpBatchEntry, and only the batch emits a
+// KindBatchDispatch event.
+func TestSingleCallIsGroupOfOne(t *testing.T) {
+	f, svc, m := setup()
+	serverCtx := svc.NewDomain()
+	clientCtx := svc.NewDomain()
+	target, n := newBatchTarget(m.Meter)
+	p, err := f.New(clientCtx, serverCtx, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, _ := p.Iface("test.batch.v1")
+	inc, err := iv.Resolve("inc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := probe.NewRecorder(1, 256)
+	m.Meter.EnableTracing(rec, probe.NewLedger(clock.LedgerSlots))
+	defer m.Meter.DisableTracing()
+	dispatches := func() int {
+		k := 0
+		for _, ev := range rec.Snapshot()[0] {
+			if ev.Kind == probe.KindBatchDispatch {
+				k++
+			}
+		}
+		return k
+	}
+
+	if _, err := inc.Call(); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	before, t0 := m.Meter.Snapshot(), m.Meter.Clock.Now()
+	if res, err := inc.Call(); err != nil || res[0].(int64) != 2 {
+		t.Fatalf("single call = %v, %v, want [2]", res, err)
+	}
+	mid, t1 := m.Meter.Snapshot(), m.Meter.Clock.Now()
+	if d := dispatches(); d != 0 {
+		t.Fatalf("single calls emitted %d batch-dispatch events, want 0", d)
+	}
+	b := obj.NewBatch(1)
+	if err := b.Add(inc); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Run(); err != nil {
+		t.Fatal(err)
+	}
+	after, t2 := m.Meter.Snapshot(), m.Meter.Clock.Now()
+	if res, err := b.Results(0); err != nil || res[0].(int64) != 3 || n.Load() != 3 {
+		t.Fatalf("batch of one = %v, %v, want [3]", res, err)
+	}
+	if d := dispatches(); d != 1 {
+		t.Fatalf("batch of one emitted %d batch-dispatch events, want 1", d)
+	}
+
+	for op := range before {
+		single, batched := mid[op]-before[op], after[op]-mid[op]
+		want := single
+		if clock.Op(op) == clock.OpBatchEntry {
+			want++
+		}
+		if batched != want {
+			t.Errorf("%v: batch of one counted %d, want %d (single call %d)", clock.Op(op), batched, want, single)
+		}
+	}
+	if single, batched := t1-t0, t2-t1; batched != single+m.Meter.Model.Cost(clock.OpBatchEntry) {
+		t.Errorf("batch of one cost %d cycles, single call %d: want exactly one OpBatchEntry more", batched, single)
+	}
+	if p.Calls() != 3 || p.Crossings() != 3 {
+		t.Fatalf("Calls/Crossings = %d/%d, want 3/3", p.Calls(), p.Crossings())
 	}
 }
 

@@ -11,11 +11,22 @@
 // out exactly where a local object would appear; callers cannot tell
 // the difference except in cycles.
 //
-// The invocation plane is fully concurrent: every call carries its own
-// pooled call frame, keyed by a token threaded through the trap frame,
-// so any number of goroutines may call through one proxy — even the
-// same method of the same interface — without serializing on anything
-// wider than the MMU's own short critical sections.
+// Every cross-domain call goes through that one handler. A vectored
+// group (obj.Batch via Proxy.DispatchBatch) crosses once for all its
+// entries; a single call (MethodHandle.Call/CallInto or Invoke) is a
+// group of one through the same handler. Only groups
+// formed by obj.Batch pay the per-entry clock.OpBatchEntry decode
+// charge and emit probe.KindBatchDispatch, so a single call costs
+// exactly one crossing. The handler switches into the target just
+// before the first entry that passes decode (routing key and grant
+// capabilities) and back only if it switched, so a call rejected at
+// decode pays no switch and no copy.
+//
+// The invocation plane is fully concurrent: every crossing carries its
+// own pooled call frame, keyed by a token threaded through the trap
+// frame, so any number of goroutines may call through one proxy — even
+// the same method of the same interface — without serializing on
+// anything wider than the MMU's own short critical sections.
 package proxy
 
 import (
@@ -44,47 +55,37 @@ var (
 // caller's address space when the factory is built with base 0.
 const DefaultEntryBase mmu.VAddr = 0x7000_0000
 
-// callFrame carries one in-flight cross-domain call — or, when batch
-// is non-nil, a whole vectored group of them behind one crossing. The
-// kernel half (the fault handler) reads the pre-resolved target
-// handle, args and result buffer and writes res, err and done; the
-// caller half owns the frame before and after the fault. Frames are
-// pooled (single and batch alike share the pool and the sharded frame
-// table) — steady-state invocation allocates nothing for the call
-// machinery itself.
+// callFrame carries one crossing: a group of calls executed in the
+// target's context behind a single fault. A single call is a group of
+// one whose entry lives in the frame itself, so it takes exactly the
+// path a vectored group does and allocates nothing for the call
+// machinery. The kernel half (the fault handler) records each entry's
+// results and writes err and done; the caller half owns the frame
+// before and after the fault. Frames are pooled — steady-state
+// invocation allocates nothing for the call machinery itself.
 type callFrame struct {
-	th    obj.MethodHandle // pre-resolved dispatch into the target
-	args  []any
-	out   []any // caller-provided result buffer (may be nil)
-	res   []any
-	err   error
-	done  bool
-	batch []obj.BatchCall // non-nil: vectored call, entries carry their own targets
-	mode  obj.BatchMode   // dispatch mode that formed the batch (telemetry)
+	batch []obj.BatchCall  // the group; aliases one for a single call
+	one   [1]obj.BatchCall // a single call's entry
+	// grouped marks a group formed by obj.Batch: only those charge
+	// OpBatchEntry per entry and emit KindBatchDispatch, so a single
+	// call costs exactly one crossing and nothing more.
+	grouped bool
+	mode    obj.BatchMode // dispatch mode that formed the group (telemetry)
+	err     error         // group-level error: the route or a switch leg failed
+	done    bool
 }
 
 var framePool = sync.Pool{New: func() any { return new(callFrame) }}
-
-func newFrame(th obj.MethodHandle, args, out []any) *callFrame {
-	fr := framePool.Get().(*callFrame)
-	fr.th, fr.args, fr.out = th, args, out
-	fr.res, fr.err, fr.done, fr.batch = nil, nil, false, nil
-	return fr
-}
-
-func newBatchFrame(calls []obj.BatchCall, mode obj.BatchMode) *callFrame {
-	fr := framePool.Get().(*callFrame)
-	fr.th, fr.args, fr.out = obj.MethodHandle{}, nil, nil
-	fr.res, fr.err, fr.done, fr.batch = nil, nil, false, calls
-	fr.mode = mode
-	return fr
-}
 
 func putFrame(fr *callFrame) {
 	// Drop value references so pooled frames do not pin caller data.
 	*fr = callFrame{}
 	framePool.Put(fr)
 }
+
+// errForeignEntry fails a group entry whose handle was not resolved
+// through the dispatching proxy.
+var errForeignEntry = errors.New("proxy: batch entry not resolved through this proxy")
 
 // frameShards is the number of lock shards in a frame table. Power of
 // two so the token-to-shard map is a mask.
@@ -310,7 +311,7 @@ func (f *Factory) New(callerCtx, targetCtx mmu.ContextID, target obj.Instance) (
 		// Entry slots are laid out by the declaration's slot indices,
 		// the same numbering every bound interface dispatches by.
 		ei := &entryIface{proxy: p, target: iv, pageVA: pageVA}
-		if err := f.svc.RegisterFaultHandler(callerCtx, pageVA, ei.handleFault); err != nil {
+		if err := f.svc.RegisterFaultHandler(callerCtx, pageVA, p.handleFault); err != nil {
 			_ = p.Close()
 			return nil, fmt.Errorf("proxy: entry page for %q: %w", name, err)
 		}
@@ -396,86 +397,101 @@ func (p *Proxy) Crossings() uint64 {
 // resolved through this proxy across the domain boundary in a single
 // crossing — one CPU lease, one page fault (the trap cost charged
 // once), one context-switch pair — executing each entry in the
-// target's context with per-entry results and errors. The batch frame
-// is pooled in the factory's sharded frame table exactly like a
-// single call's. Error semantics match a run of single calls: a
-// closed proxy fails every entry with ErrClosed, a dead target
-// context fails them all with "target domain gone", and a failing
-// method fails only its own entry. The group-level error, if any, is
-// returned as well so Batch.Run can surface it.
+// target's context with per-entry results and errors. Error semantics
+// match a run of single calls: a closed proxy fails every entry with
+// ErrClosed, a dead target context fails them with "target domain
+// gone", and a failing method or bad grant fails only its own entry.
+// The group-level error, if any, is returned as well so Batch.Run can
+// surface it. mode is recorded in the flight recorder's batch-dispatch
+// event.
 //
 //paramecium:hotpath
-func (p *Proxy) DispatchBatch(calls []obj.BatchCall) error {
-	return p.dispatchBatch(calls, obj.InOrder)
-}
-
-// DispatchBatchMode implements obj.ModeBatcher: identical dispatch to
-// DispatchBatch, with the forming mode recorded in the flight
-// recorder's batch-dispatch event.
-//
-//paramecium:hotpath
-func (p *Proxy) DispatchBatchMode(calls []obj.BatchCall, mode obj.BatchMode) error {
-	return p.dispatchBatch(calls, mode)
-}
-
-//paramecium:hotpath
-func (p *Proxy) dispatchBatch(calls []obj.BatchCall, mode obj.BatchMode) error {
+func (p *Proxy) DispatchBatch(calls []obj.BatchCall, mode obj.BatchMode) error {
 	if len(calls) == 0 {
 		return nil
 	}
-	if p.closed.Load() {
-		for i := range calls {
-			calls[i].SetResult(nil, ErrClosed)
-		}
-		return ErrClosed
-	}
-	fr := newBatchFrame(calls, mode)
-	token := p.factory.frames.put(fr)
-	// Deferred so a panicking target method cannot leak the table
-	// entry, exactly as on the single-call path.
-	defer func() {
-		p.factory.frames.drop(token)
-		putFrame(fr)
-	}()
+	fr := framePool.Get().(*callFrame)
+	fr.batch, fr.grouped, fr.mode = calls, true, mode
+	err := p.cross(fr)
+	putFrame(fr)
+	return err
+}
 
-	// One touch of the first entry's slot drives the whole group: the
-	// handler reads the batch out of the frame, so the remaining
-	// entries cross without faulting again. The key is checked, not
-	// asserted: a handle built by hand against this proxy as Batcher
-	// (possible through the public NewBatchableHandle) must fail its
-	// batch, not panic the fault path.
+// call carries one call through h across the boundary as a group of
+// one: the crossing a Batch takes, minus the batch's per-entry decode
+// charge and dispatch event.
+//
+//paramecium:hotpath
+func (p *Proxy) call(h obj.MethodHandle, out, args []any) ([]any, error) {
+	fr := framePool.Get().(*callFrame)
+	fr.one[0] = obj.NewBatchCall(h, out, args...)
+	fr.batch = fr.one[:]
+	gerr := p.cross(fr)
+	res, err := fr.one[0].Results()
+	putFrame(fr)
+	if gerr != nil && gerr != err {
+		// The call ran but its return leg failed: report both.
+		err = errors.Join(err, gerr)
+	}
+	return res, err
+}
+
+// cross performs one crossing for the frame's group: it registers the
+// frame under a fresh token, then references the first entry's slot,
+// taking the page fault that drives the kernel's call handler. The
+// token rides in the trap frame, so the handler finds this group's
+// frame no matter how many calls are in flight on the same page; the
+// remaining entries cross without faulting again.
+//
+//paramecium:hotpath
+func (p *Proxy) cross(fr *callFrame) error {
+	calls := fr.batch
+	if p.closed.Load() {
+		return failAll(calls, ErrClosed)
+	}
+	// The key is checked, not asserted: a handle built by hand against
+	// this proxy as Batcher (possible through the public
+	// NewBatchableHandle) must fail its group, not panic the fault path.
 	key, ok := calls[0].Key().(batchKey)
 	if !ok {
-		err := errors.New("proxy: batch entry not resolved through this proxy")
-		for i := range calls {
-			calls[i].SetResult(nil, err)
-		}
-		return err
+		return failAll(calls, errForeignEntry)
 	}
-	slotVA := key.slotVA
-	machine := p.factory.svc.Machine()
-	lease := machine.AcquireCPU()
-	_ = lease.CPU().TouchTagged(p.callerCtx, slotVA, mmu.AccessExec, token)
+	token := p.factory.frames.put(fr)
+	// Deferred so a panicking target method cannot leak the table
+	// entry: by the time the defer runs, nothing references the frame.
+	defer p.factory.frames.drop(token)
+
+	// Touch the entry slot: unmapped, so this page-faults into the
+	// kernel, whose per-page handler performs the actual invocation.
+	// The crossing claims a virtual CPU for its duration: its
+	// entry-page translation, crossing charges and any flush-on-switch
+	// TLB loss all land on that CPU, so concurrent calls on distinct
+	// CPUs keep disjoint TLB state — per-CPU locality is measurable,
+	// not just switch counts.
+	lease := p.factory.svc.Machine().AcquireCPU()
+	_ = lease.CPU().TouchTagged(p.callerCtx, key.slotVA, mmu.AccessExec, token)
 	lease.Release()
 
 	if !fr.done {
-		// The handler never saw the group: the proxy was closed (its
-		// fault handler unregistered) between the closed check and the
-		// touch, or the fault went astray.
-		err := error(nil)
+		// The handler never saw the group. Either the proxy was closed
+		// (its fault handler unregistered) between the closed check and
+		// the touch, or the fault genuinely went astray.
 		if p.closed.Load() {
-			err = ErrClosed
-		} else {
-			err = fmt.Errorf("%w: batch of %d", ErrNoDelivery, len(calls))
+			return failAll(calls, ErrClosed)
 		}
-		for i := range calls {
-			calls[i].SetResult(nil, err)
-		}
-		return err
+		return failAll(calls, fmt.Errorf("%w: %s, group of %d", ErrNoDelivery, calls[0].Decl().Name, len(calls)))
 	}
 	p.calls.Add(uint64(len(calls)))
 	p.crossings.Add(1)
 	return fr.err
+}
+
+// failAll fails every entry of a group with err and returns it.
+func failAll(calls []obj.BatchCall, err error) error {
+	for i := range calls {
+		calls[i].SetResult(nil, err)
+	}
+	return err
 }
 
 // TargetContext reports the protection domain of the real object.
@@ -555,30 +571,24 @@ type batchKey struct {
 	slotVA mmu.VAddr
 }
 
-// Invoke implements obj.Invoker: it references the method's entry
-// slot, taking the page fault that drives the cross-domain call.
+// Invoke implements obj.Invoker: it resolves the method and calls it
+// through the resolved handle, taking the page fault that drives the
+// cross-domain call.
 func (e *entryIface) Invoke(method string, args ...any) ([]any, error) {
-	md, ok := e.target.Decl().Method(method)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q.%s", obj.ErrNoMethod, e.target.Decl().Name, method)
-	}
-	if err := obj.CheckArity(md, args); err != nil {
-		return nil, err
-	}
-	th, err := e.target.Resolve(method)
+	h, err := e.Resolve(method)
 	if err != nil {
 		return nil, err
 	}
-	return e.fault(md, th, args, nil)
+	return h.Call(args...)
 }
 
 // Resolve implements obj.Invoker: the entry slot's address and the
 // dispatch into the target are computed once, and the returned handle
 // faults straight into the kernel on every Call with no per-call
 // method lookup on either side of the boundary. One handle may be
-// shared by any number of goroutines. The handle is batchable: a
-// Batch groups consecutive calls through this proxy into a single
-// crossing (Proxy.DispatchBatch).
+// shared by any number of goroutines. A call through the handle is a
+// group of one; a Batch groups consecutive calls through this proxy
+// into a single crossing (Proxy.DispatchBatch).
 func (e *entryIface) Resolve(method string) (obj.MethodHandle, error) {
 	md, ok := e.target.Decl().Method(method)
 	if !ok {
@@ -589,79 +599,30 @@ func (e *entryIface) Resolve(method string) (obj.MethodHandle, error) {
 		return obj.MethodHandle{}, err
 	}
 	key := batchKey{th: th, slotVA: e.pageVA + mmu.VAddr(md.Slot()*8)}
-	return obj.NewBatchableHandle(md,
-		func(args ...any) ([]any, error) {
-			return e.fault(md, th, args, nil)
-		},
-		func(out []any, args ...any) ([]any, error) {
-			return e.fault(md, th, args, out)
-		},
-		e.proxy, key), nil
+	// The handle carries itself into its group-of-one entry, so a
+	// single call routes exactly like a Batch entry would.
+	var h obj.MethodHandle
+	h = obj.NewBatchableHandle(md, nil, func(out []any, args ...any) ([]any, error) {
+		return e.proxy.call(h, out, args)
+	}, e.proxy, key)
+	return h, nil
 }
 
-// fault performs the cross-domain call for one pre-looked-up method:
-// it registers a per-call frame, then references the method's entry
-// slot, taking the page fault that drives the kernel's call handler.
-// The frame's token rides in the trap frame, so the handler resolves
-// this call's frame no matter how many calls are in flight on the
-// same page. out, when non-nil, is the caller's result buffer,
-// threaded through the frame so the target's results land in it
-// without an allocation.
+// handleFault is the per-page fault handler: the kernel half of every
+// cross-domain call, single or vectored. For each entry of the frame's
+// group it decodes the entry (its routing key and any grant
+// capabilities), maps in the arguments (charged as word copies),
+// invokes the real method through the entry's pre-resolved handle and
+// copies out the results. It switches to the target's context just
+// before the first entry that passes decode and back once after the
+// last, so a group rejected at decode pays no switch and no copy. A
+// failing entry records its error and the rest still run; only a dead
+// target context fails the remaining entries as a whole. The handler
+// is reentrant: concurrent faults on the same entry page dispatch
+// independently, each finding its own frame by the trap frame's token.
 //
 //paramecium:hotpath
-func (e *entryIface) fault(md *obj.MethodDecl, th obj.MethodHandle, args, out []any) ([]any, error) {
-	p := e.proxy
-	if p.closed.Load() {
-		return nil, ErrClosed
-	}
-	fr := newFrame(th, args, out)
-	token := p.factory.frames.put(fr)
-	// Deferred so a panicking target method cannot leak the table
-	// entry: by the time the defer runs, nothing references the frame.
-	defer func() {
-		p.factory.frames.drop(token)
-		putFrame(fr)
-	}()
-
-	// Touch the entry slot: unmapped, so this page-faults into the
-	// kernel, whose per-page handler performs the actual invocation.
-	// The call claims a virtual CPU for its duration: its entry-page
-	// translation, crossing charges and any flush-on-switch TLB loss
-	// all land on that CPU, so concurrent calls on distinct CPUs keep
-	// disjoint TLB state — per-CPU locality is measurable, not just
-	// switch counts.
-	slotVA := e.pageVA + mmu.VAddr(md.Slot()*8)
-	machine := p.factory.svc.Machine()
-	lease := machine.AcquireCPU()
-	_ = lease.CPU().TouchTagged(p.callerCtx, slotVA, mmu.AccessExec, token)
-	lease.Release()
-
-	if !fr.done {
-		// The handler never saw the call. Either the proxy was closed
-		// (its fault handler unregistered) between the closed check
-		// and the touch, or the fault genuinely went astray.
-		if p.closed.Load() {
-			return nil, ErrClosed
-		}
-		return nil, fmt.Errorf("%w: %q.%s", ErrNoDelivery, e.target.Decl().Name, md.Name)
-	}
-	p.calls.Add(1)
-	p.crossings.Add(1)
-	return fr.res, fr.err
-}
-
-// handleFault is the per-page fault handler: the kernel half of the
-// cross-domain call. It maps in the arguments (charged as word
-// copies), switches to the target's context, invokes the real method
-// through the frame's pre-resolved handle, switches back, and copies
-// out the results. The handler is reentrant: concurrent faults on the
-// same entry page dispatch independently, each finding its own frame
-// by the trap frame's token. A frame carrying a batch executes every
-// entry inside the one crossing (executeBatch).
-//
-//paramecium:hotpath
-func (e *entryIface) handleFault(f *hw.TrapFrame) bool {
-	p := e.proxy
+func (p *Proxy) handleFault(f *hw.TrapFrame) bool {
 	// Entered before the closed-check so Close can quiesce: if closed
 	// is observed set here, the handler touches nothing of the target.
 	p.inflight.Add(1)
@@ -669,160 +630,90 @@ func (e *entryIface) handleFault(f *hw.TrapFrame) bool {
 	if p.closed.Load() {
 		return false
 	}
-	call := p.factory.frames.get(f.Token)
-	if call == nil {
+	fr := p.factory.frames.get(f.Token)
+	if fr == nil {
 		// A stray touch of the entry page (not a proxy call): leave
 		// the fault unresolved.
 		return false
 	}
 	machine := p.factory.svc.Machine()
 	meter := machine.Meter
-
-	if call.batch != nil {
-		p.executeBatch(f, call, machine.MMU, meter)
-		return false
+	caller := uint32(p.callerCtx)
+	if fr.grouped && probe.Enabled() {
+		meter.Emit(int(f.CPU), probe.KindBatchDispatch, caller, uint64(len(fr.batch)), uint64(fr.mode))
 	}
-
-	// Validate any grant capabilities among the arguments before
-	// paying for anything: a grant that is forged, revoked, or not
-	// addressed to the target fails the call with no copy or crossing
-	// charged — the kernel rejects bad capability words at decode.
-	if err := p.checkGrantArgs(call.args); err != nil {
-		call.err = err
-		call.done = true
-		return false
-	}
-
-	// Map in arguments. A shared-memory grant crosses as a single
-	// capability word (wordsOf charges its 8 bytes like any scalar):
-	// the segment's payload never touches the invocation plane. The
-	// caller pays every invocation-plane charge of its own crossing.
-	meter.ChargeNFor(uint32(p.callerCtx), clock.OpCopyWord, wordsOf(call.args))
-
 	// The call runs in the caller's domain and crosses into the
 	// target's: one switch there, one back. Each leg is validated and
 	// charged by CrossSwitchOn against the calling CPU (the one the
 	// fault was taken on, carried in the trap frame) without touching
-	// any CPU's context register — every in-flight call is its own
-	// virtual processor, so concurrent calls never observe each
-	// other's transient context and the switch charges are
-	// deterministic.
+	// any CPU's context register — every in-flight crossing is its own
+	// virtual processor, so concurrent calls never observe each other's
+	// transient context and the switch charges are deterministic.
 	crossing := p.callerCtx != p.targetCtx
-	if crossing {
-		if probe.Enabled() {
-			meter.Emit(int(f.CPU), probe.KindCrossingBegin, uint32(p.callerCtx), uint64(p.targetCtx), 1)
-		}
-		if err := machine.MMU.CrossSwitchOn(f.CPU, p.targetCtx); err != nil {
-			call.err = fmt.Errorf("proxy: target domain gone: %w", err)
-			call.done = true
-			return false
-		}
-	}
-	call.res, call.err = call.th.CallInto(call.out, call.args...)
-	if crossing {
-		if err := machine.MMU.CrossSwitchOn(f.CPU, p.callerCtx); err != nil {
-			// The caller's domain was destroyed while the call was in
-			// flight; there is no context to return to. Surface it
-			// alongside any error the target itself returned.
-			call.err = errors.Join(call.err, fmt.Errorf("proxy: caller domain gone: %w", err))
-		}
-		if probe.Enabled() {
-			meter.Emit(int(f.CPU), probe.KindCrossingEnd, uint32(p.callerCtx), uint64(p.targetCtx), 1)
-		}
-	}
-
-	// Return values are handled similarly. call.res is the caller's
-	// buffer plus the method's results; only the results crossed the
-	// boundary, so only they are charged (on error res is nil).
-	copied := call.res
-	if n := len(call.out); n > 0 && len(copied) >= n {
-		copied = copied[n:]
-	}
-	meter.ChargeNFor(uint32(p.callerCtx), clock.OpCopyWord, wordsOf(copied))
-	call.done = true
-	// The entry page stays unmapped (the next call must fault again),
-	// so the fault is reported as unresolved; fault picks the results
-	// out of the call frame.
-	return false
-}
-
-// executeBatch is the kernel half of a vectored call: inside the one
-// crossing the fault already paid for, it switches to the target's
-// context once, dispatches every entry through its pre-resolved
-// handle — charging the argument/result copies exactly as a single
-// call would, plus the small per-entry decode cost — and switches
-// back once. A failing entry records its error and the rest still
-// run; only a dead target context fails the group as a whole.
-//
-//paramecium:hotpath
-func (p *Proxy) executeBatch(f *hw.TrapFrame, call *callFrame, mm *mmu.MMU, meter *clock.Meter) {
-	crossing := p.callerCtx != p.targetCtx
-	if probe.Enabled() {
-		meter.Emit(int(f.CPU), probe.KindBatchDispatch, uint32(p.callerCtx), uint64(len(call.batch)), uint64(call.mode))
-		if crossing {
-			meter.Emit(int(f.CPU), probe.KindCrossingBegin, uint32(p.callerCtx), uint64(p.targetCtx), uint64(len(call.batch)))
-		}
-	}
-	if crossing {
-		if err := mm.CrossSwitchOn(f.CPU, p.targetCtx); err != nil {
-			err = fmt.Errorf("proxy: target domain gone: %w", err)
-			for i := range call.batch {
-				call.batch[i].SetResult(nil, err)
-			}
-			call.err = err
-			call.done = true
-			return
-		}
-	}
-	for i := range call.batch {
-		bc := &call.batch[i]
+	switched := false
+	for i := range fr.batch {
+		bc := &fr.batch[i]
 		key, ok := bc.Key().(batchKey)
 		if !ok {
 			// A hand-built handle smuggled into the group: fail the
 			// entry, never panic inside the fault handler.
-			bc.SetResult(nil, errors.New("proxy: batch entry not resolved through this proxy"))
+			bc.SetResult(nil, errForeignEntry)
 			continue
 		}
+		// A grant capability that is forged, revoked, or not addressed
+		// to the target fails its entry before anything is paid — the
+		// kernel rejects bad capability words at decode.
 		if err := p.checkGrantArgs(bc.Args()); err != nil {
-			// A bad grant capability fails only its own entry, exactly
-			// like a failing method; nothing of it was charged.
 			bc.SetResult(nil, err)
 			continue
 		}
-		meter.ChargeFor(uint32(p.callerCtx), clock.OpBatchEntry)
-		meter.ChargeNFor(uint32(p.callerCtx), clock.OpCopyWord, wordsOf(bc.Args()))
-		// Dispatch through the entry's caller-provided result buffer
-		// when one was supplied (Batch.AddInto): the target's results
-		// land in caller-owned storage, keeping the steady-state
-		// vectored plane allocation-free. Only the appended results
-		// crossed the boundary, so only they are charged.
-		var res []any
-		var err error
-		if out := bc.Out(); out != nil {
-			res, err = key.th.CallInto(out, bc.Args()...)
-			copied := res
-			if n := len(out); n > 0 && len(copied) >= n {
-				copied = copied[n:]
+		if crossing && !switched {
+			if probe.Enabled() {
+				meter.Emit(int(f.CPU), probe.KindCrossingBegin, caller, uint64(p.targetCtx), uint64(len(fr.batch)))
 			}
-			meter.ChargeNFor(uint32(p.callerCtx), clock.OpCopyWord, wordsOf(copied))
-		} else {
-			res, err = key.th.Call(bc.Args()...)
-			meter.ChargeNFor(uint32(p.callerCtx), clock.OpCopyWord, wordsOf(res))
+			if err := machine.MMU.CrossSwitchOn(f.CPU, p.targetCtx); err != nil {
+				fr.err = failAll(fr.batch[i:], fmt.Errorf("proxy: target domain gone: %w", err))
+				break
+			}
+			switched = true
+		}
+		if fr.grouped {
+			meter.ChargeFor(caller, clock.OpBatchEntry)
+		}
+		// Map in arguments. A shared-memory grant crosses as a single
+		// capability word (wordsOf charges its 8 bytes like any
+		// scalar): the segment's payload never touches the invocation
+		// plane. The caller pays every charge of its own crossing.
+		meter.ChargeNFor(caller, clock.OpCopyWord, wordsOf(bc.Args()))
+		// Dispatch through the entry's result buffer, if any: the
+		// target's results land in caller-owned storage without an
+		// allocation. Return values are handled similarly to
+		// arguments, and only the appended results crossed the
+		// boundary, so only they are charged (on error res is nil).
+		out := bc.Out()
+		res, err := key.th.CallInto(out, bc.Args()...)
+		if len(res) >= len(out) {
+			meter.ChargeNFor(caller, clock.OpCopyWord, wordsOf(res[len(out):]))
 		}
 		bc.SetResult(res, err)
 	}
-	if crossing {
-		if err := mm.CrossSwitchOn(f.CPU, p.callerCtx); err != nil {
-			// No caller context to return to; the per-entry results
-			// stand, and the group-level error reports the lost return
-			// leg exactly as a single call would.
-			call.err = fmt.Errorf("proxy: caller domain gone: %w", err)
+	if switched {
+		if err := machine.MMU.CrossSwitchOn(f.CPU, p.callerCtx); err != nil {
+			// The caller's domain was destroyed while the group was in
+			// flight; there is no context to return to. The per-entry
+			// results stand, and the group-level error reports the lost
+			// return leg.
+			fr.err = fmt.Errorf("proxy: caller domain gone: %w", err)
 		}
 		if probe.Enabled() {
-			meter.Emit(int(f.CPU), probe.KindCrossingEnd, uint32(p.callerCtx), uint64(p.targetCtx), uint64(len(call.batch)))
+			meter.Emit(int(f.CPU), probe.KindCrossingEnd, caller, uint64(p.targetCtx), uint64(len(fr.batch)))
 		}
 	}
-	call.done = true
+	fr.done = true
+	// The entry page stays unmapped (the next call must fault again),
+	// so the fault is reported as unresolved; the caller picks the
+	// results out of the frame.
+	return false
 }
 
 // exitHandler decrements the in-flight handler count, waking Close

@@ -221,4 +221,29 @@ func TestBatchEntryGrantFailureIsPerEntry(t *testing.T) {
 	if attached != 2 {
 		t.Fatalf("attached = %d, want 2 (entries around the failure ran)", attached)
 	}
+
+	// A group whose every entry fails grant decode never switches into
+	// the target: the switch is paid just before the first entry that
+	// decodes, and here none does.
+	b.Reset()
+	_ = b.Add(attach, bad.Ref())
+	_ = b.Add(attach, bad.Ref())
+	before := m.Meter.Snapshot()
+	if err := b.Run(); err != nil {
+		t.Fatalf("all-bad group error = %v, want per-entry failures only", err)
+	}
+	after := m.Meter.Snapshot()
+	for i := 0; i < b.Len(); i++ {
+		if _, err := b.Results(i); !errors.Is(err, shm.ErrWrongDomain) {
+			t.Fatalf("all-bad entry %d: err = %v, want ErrWrongDomain", i, err)
+		}
+	}
+	for _, op := range []clock.Op{clock.OpCtxSwitch, clock.OpCopyWord, clock.OpBatchEntry} {
+		if got := after[op] - before[op]; got != 0 {
+			t.Fatalf("all-bad group charged %d %v, want 0", got, op)
+		}
+	}
+	if attached != 2 {
+		t.Fatalf("attached = %d after an all-bad group, want still 2", attached)
+	}
 }

@@ -81,6 +81,16 @@
 // on hangup, mirroring the paper's segment-fault semantics: the
 // mapping is gone, so the data is too.
 //
+// # Peer words are checked, not trusted
+//
+// Each side reads words only the other side writes: the consumer the
+// tail and the descriptors, the producer the head. A peer that
+// scribbles them cannot make the reader misbehave. A descriptor
+// length beyond the slot size, or a head/tail gap beyond the slot
+// count, fails with ErrRingCorrupt — distinct from ErrHangup, since
+// the grant is intact. The checks use words already loaded, so they
+// add no segment access and no cycles.
+//
 // # Tuning
 //
 // Burst size (records per Notify) is the lever: per-record overhead

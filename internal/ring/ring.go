@@ -42,6 +42,13 @@ var (
 	// destruction. Distinct from shm.ErrNoGrant (a capability that
 	// never existed); unconsumed records are lost.
 	ErrHangup = errors.New("ring: hangup")
+	// ErrRingCorrupt reports a control word the peer wrote that no
+	// well-behaved peer could have: a descriptor length beyond the
+	// slot size, or a head/tail gap beyond the slot count. The words
+	// are checked, never trusted, so a hostile peer can stall the
+	// ring but not make the other side read out of bounds. Distinct
+	// from ErrHangup: the grant is intact, its contents are not.
+	ErrRingCorrupt = errors.New("ring: corrupt control word")
 	// ErrRecordSize reports a record larger than the ring's slots.
 	ErrRecordSize = errors.New("ring: record exceeds slot size")
 	// ErrGeometry reports an unusable slot count or size at New.
@@ -209,7 +216,11 @@ func (p *Producer) reserve() error {
 		if err := p.r.seg.Load(offHead, p.w[:]); err != nil {
 			return err
 		}
-		p.headCache = binary.LittleEndian.Uint64(p.w[:])
+		head := binary.LittleEndian.Uint64(p.w[:])
+		if d := p.tail - head; d > uint64(p.r.slots) {
+			return fmt.Errorf("%w: head %d is %d records behind tail %d", ErrRingCorrupt, head, d, p.tail)
+		}
+		p.headCache = head
 		if p.tail-p.headCache == uint64(p.r.slots) {
 			return ErrFull
 		}
@@ -356,10 +367,9 @@ func (c *Consumer) hangupErr(err error) error {
 //paramecium:hotpath
 func (c *Consumer) available() error {
 	if c.head == c.tailCache {
-		if err := c.r.att.Load(offTail, c.w[:]); err != nil {
-			return c.hangupErr(err)
+		if err := c.loadTail(); err != nil {
+			return err
 		}
-		c.tailCache = binary.LittleEndian.Uint64(c.w[:])
 		if c.head == c.tailCache {
 			return ErrEmpty
 		}
@@ -367,13 +377,30 @@ func (c *Consumer) available() error {
 	return nil
 }
 
+// loadTail refreshes the tail cache from shared memory. The tail is a
+// producer-written word, so it is checked before it is cached: a tail
+// more than slots records ahead of head — or behind it, which the
+// unsigned difference folds into the same test — is ErrRingCorrupt.
+//
+//paramecium:hotpath
+func (c *Consumer) loadTail() error {
+	if err := c.r.att.Load(offTail, c.w[:]); err != nil {
+		return c.hangupErr(err)
+	}
+	tail := binary.LittleEndian.Uint64(c.w[:])
+	if d := tail - c.head; d > uint64(c.r.slots) {
+		return fmt.Errorf("%w: tail %d is %d records past head %d", ErrRingCorrupt, tail, d, c.head)
+	}
+	c.tailCache = tail
+	return nil
+}
+
 // Len reports how many published records await consumption, reloading
 // the tail word.
 func (c *Consumer) Len() (int, error) {
-	if err := c.r.att.Load(offTail, c.w[:]); err != nil {
-		return 0, c.hangupErr(err)
+	if err := c.loadTail(); err != nil {
+		return 0, err
 	}
-	c.tailCache = binary.LittleEndian.Uint64(c.w[:])
 	return int(c.tailCache - c.head), nil
 }
 
@@ -390,7 +417,13 @@ func (c *Consumer) Peek() (off, n int, err error) {
 	if err := c.r.att.Load(c.r.descOff(c.head), c.w[:]); err != nil {
 		return 0, 0, c.hangupErr(err)
 	}
-	return c.r.payloadOff(c.head), int(binary.LittleEndian.Uint64(c.w[:])), nil
+	// The descriptor is producer-written: a length past the slot would
+	// send the caller's in-place read into the next slot or beyond.
+	n64 := binary.LittleEndian.Uint64(c.w[:])
+	if n64 > uint64(c.r.slotBytes) {
+		return 0, 0, fmt.Errorf("%w: record length %d exceeds %d-byte slots", ErrRingCorrupt, n64, c.r.slotBytes)
+	}
+	return c.r.payloadOff(c.head), int(n64), nil
 }
 
 // Release consumes the head record, publishing the new head so the

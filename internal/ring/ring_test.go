@@ -2,6 +2,7 @@ package ring
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -335,6 +336,11 @@ func TestRingConcurrentHangup(t *testing.T) {
 			for i := 0; ; i++ {
 				binary64(rec[:], uint64(i))
 				err := p.Push(rec[:])
+				// Retry a full ring: dropping record i would read as a
+				// gap to the consumer's ordering check.
+				for errors.Is(err, ErrFull) {
+					err = p.Push(rec[:])
+				}
 				if errors.Is(err, ErrHangup) {
 					return
 				}
@@ -390,4 +396,88 @@ func unbinary64(b []byte) uint64 {
 		v |= uint64(b[i]) << (8 * i)
 	}
 	return v
+}
+
+// putWord writes one little-endian control word through w, standing
+// in for a peer that scribbles the ring's shared page.
+func putWord(t *testing.T, store func(int, []byte) error, off int, v uint64) {
+	t.Helper()
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	if err := store(off, w[:]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRingScribbledDescriptor: a producer that scribbles a record's
+// descriptor cannot make the consumer report a length past the slot —
+// Peek and Pop fail with ErrRingCorrupt, not ErrHangup.
+func TestRingScribbledDescriptor(t *testing.T) {
+	r, _, _, _ := newTestRing(t, 4, 64)
+	p, c := r.Producer(), r.Consumer()
+	if err := p.Push([]byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	putWord(t, r.Segment().Store, r.descOff(0), 1<<20)
+
+	if _, _, err := c.Peek(); !errors.Is(err, ErrRingCorrupt) || errors.Is(err, ErrHangup) {
+		t.Fatalf("Peek after scribbled descriptor: err = %v, want ErrRingCorrupt", err)
+	}
+	buf := make([]byte, 64)
+	if n, err := c.Pop(buf); !errors.Is(err, ErrRingCorrupt) || n != 0 {
+		t.Fatalf("Pop after scribbled descriptor = %d, %v, want 0, ErrRingCorrupt", n, err)
+	}
+	// A descriptor of exactly the slot size is legal.
+	putWord(t, r.Segment().Store, r.descOff(0), 64)
+	if n, err := c.Pop(buf); err != nil || n != 64 {
+		t.Fatalf("Pop of a full-slot record = %d, %v, want 64, nil", n, err)
+	}
+}
+
+// TestRingScribbledTail: a tail scribbled far past (or behind) the
+// consumer's head fails Len and Pop with ErrRingCorrupt instead of
+// reporting 2^40-1 pending records; the consumer's cached tail is not
+// poisoned, so a restored tail works again.
+func TestRingScribbledTail(t *testing.T) {
+	r, _, _, _ := newTestRing(t, 4, 64)
+	p, c := r.Producer(), r.Consumer()
+	if err := p.Push([]byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []uint64{1<<40 - 1, 5, ^uint64(0)} {
+		putWord(t, r.Segment().Store, offTail, tail)
+		if n, err := c.Len(); !errors.Is(err, ErrRingCorrupt) {
+			t.Fatalf("Len with tail %d = %d, %v, want ErrRingCorrupt", tail, n, err)
+		}
+		if _, err := c.Pop(nil); !errors.Is(err, ErrRingCorrupt) {
+			t.Fatalf("Pop with tail %d: err = %v, want ErrRingCorrupt", tail, err)
+		}
+	}
+	// Four records pending in a four-slot ring is a full ring, not
+	// corruption.
+	putWord(t, r.Segment().Store, offTail, 4)
+	if n, err := c.Len(); err != nil || n != 4 {
+		t.Fatalf("Len with a full ring = %d, %v, want 4, nil", n, err)
+	}
+	putWord(t, r.Segment().Store, offTail, 1)
+	if n, err := c.Pop(nil); err != nil || n != 2 {
+		t.Fatalf("Pop after restoring the tail = %d, %v, want 2, nil", n, err)
+	}
+}
+
+// TestRingScribbledHead: the symmetric check on the producer side — a
+// consumer-written head far from the tail fails the producer's next
+// reserve with ErrRingCorrupt.
+func TestRingScribbledHead(t *testing.T) {
+	r, _, _, _ := newTestRing(t, 2, 16)
+	p := r.Producer()
+	for i := 0; i < 2; i++ {
+		if err := p.Push([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	putWord(t, r.Consumer().Attachment().Store, offHead, 1<<40)
+	if err := p.Push([]byte("x")); !errors.Is(err, ErrRingCorrupt) {
+		t.Fatalf("Push after scribbled head: err = %v, want ErrRingCorrupt", err)
+	}
 }
