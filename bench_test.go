@@ -502,14 +502,14 @@ func BenchmarkT3_Interrupt(b *testing.B) {
 	machine := hw.New(hw.Config{PhysFrames: 16})
 	sched := threads.NewScheduler(machine.Meter)
 	events := event.New(machine, sched)
-	if err := events.RegisterIRQ(3, "bench", mmu.KernelContext, event.DispatchProto,
+	if err := events.RegisterIRQOn(3, "bench", mmu.KernelContext, event.DispatchProto, mmu.BootCPU,
 		func(*hw.TrapFrame, *threads.Thread) {}); err != nil {
 		b.Fatal(err)
 	}
 	watch := machine.Meter.Clock.StartWatch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := machine.RaiseIRQ(3); err != nil {
+		if err := machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -641,14 +641,14 @@ func BenchmarkF3_BlockingFraction(b *testing.B) {
 	machine := hw.New(hw.Config{PhysFrames: 16})
 	sched := threads.NewScheduler(machine.Meter)
 	events := event.New(machine, sched)
-	if err := events.RegisterIRQ(3, "bench", mmu.KernelContext, event.DispatchEager,
+	if err := events.RegisterIRQOn(3, "bench", mmu.KernelContext, event.DispatchEager, mmu.BootCPU,
 		func(*hw.TrapFrame, *threads.Thread) {}); err != nil {
 		b.Fatal(err)
 	}
 	watch := machine.Meter.Clock.StartWatch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := machine.RaiseIRQ(3); err != nil {
+		if err := machine.RaiseIRQOn(3, mmu.BootCPU); err != nil {
 			b.Fatal(err)
 		}
 		sched.RunUntilIdle()

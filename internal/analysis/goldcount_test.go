@@ -12,7 +12,7 @@ func TestGoldenCounts(t *testing.T) {
 		{LockOrder, "testdata/src/lockorder", 3},
 		{HotpathAlloc, "testdata/src/hotpathalloc", 8},
 		{AtomicMix, "testdata/src/atomicmix", 2},
-		{CPUState, "testdata/src/cpustate", 5},
+		{CPUState, "testdata/src/cpustate", 3},
 		{ProbeSafe, "testdata/src/probesafe", 8},
 	} {
 		pkg, err := sharedLoader(t).LoadDir(tc.dir)

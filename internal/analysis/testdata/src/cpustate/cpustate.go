@@ -79,50 +79,3 @@ func (m *machine) pinned() *cpuState {
 	//paralint:ignore cpustate fixture pins the boot CPU by construction
 	return m.cpu(BootCPU)
 }
-
-// Machine mimics the hardware façade: Load/Store/Touch/TouchTagged are
-// the boot-CPU compatibility access forms, the *On methods the
-// identity-carrying ones.
-type Machine struct{}
-
-// Load is the compat read form, delegating from the boot CPU.
-func (m *Machine) Load(va int, buf []byte) error { return nil }
-
-// Store is the compat write form, delegating from the boot CPU.
-func (m *Machine) Store(va int, buf []byte) error { return nil }
-
-// LoadOn reads as the given CPU.
-func (m *Machine) LoadOn(cpu CPUID, va int, buf []byte) error { return nil }
-
-type segment struct{}
-
-func (s *segment) Load(off int, buf []byte) error { return nil }
-
-// undocumentedCompat reaches memory through the compat form without
-// acknowledging whose TLB gets charged.
-func undocumentedCompat(m *Machine, buf []byte) {
-	_ = m.Load(0x40, buf)  // want `m.Load is the boot-CPU compatibility access form`
-	_ = m.Store(0x40, buf) // want `m.Store is the boot-CPU compatibility access form`
-}
-
-// documentedCompat copies through the boot CPU deliberately, as this
-// comment records.
-func documentedCompat(m *Machine, buf []byte) {
-	_ = m.Load(0x40, buf)
-}
-
-// identityCarrying threads the initiating CPU through the On form.
-func identityCarrying(m *Machine, id CPUID, buf []byte) {
-	_ = m.LoadOn(id, 0x40, buf)
-}
-
-// unrelatedLoad: Load on a non-Machine receiver is not the compat form.
-func unrelatedLoad(s *segment, buf []byte) {
-	_ = s.Load(0, buf)
-}
-
-// suppressedCompat is a reviewed deviation.
-func suppressedCompat(m *Machine, buf []byte) {
-	//paralint:ignore cpustate fixture pins the boot CPU by construction
-	_ = m.Load(0x40, buf)
-}

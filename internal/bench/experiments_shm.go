@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
 	"paramecium/internal/shm"
 )
@@ -212,8 +213,9 @@ func (h *BulkShare) Run(n int) {
 // pays the per-remote-CPU TLB shootdown charge for any page a remote
 // CPU still holds cached — the "plus shootdown" half of the claim
 // (zero remotes on this single-CPU world, charged exactly as such).
+// The revoke initiates from the boot CPU.
 func (h *BulkShare) Finish() {
-	if err := h.grant.Revoke(); err != nil {
+	if err := h.grant.RevokeFrom(mmu.BootCPU); err != nil {
 		panic(err)
 	}
 }

@@ -174,10 +174,6 @@ func TestParallelInvocationAcrossCPUs(t *testing.T) {
 	if populated < 2 {
 		t.Fatalf("TLB traffic on %d CPUs, want >= 2", populated)
 	}
-	_, aggMisses := k.Machine.MMU.TLBStats()
-	if aggMisses != sum {
-		t.Fatalf("aggregate misses %d != per-CPU sum %d", aggMisses, sum)
-	}
 }
 
 // TestSingleCPUDefaultTopology: the default boot stays a uniprocessor.

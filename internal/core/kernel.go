@@ -192,7 +192,9 @@ func (c *proxyCache) destroy() map[obj.Instance]*proxy.Proxy {
 }
 
 // Boot assembles a kernel: machine, the four nucleus services, the
-// root of the name space, and an empty repository.
+// root of the name space, and an empty repository. A domain teardown's
+// shared-memory sweep initiates from the boot CPU, where the nucleus
+// runs DestroyDomain.
 func Boot(cfg Config) (*Kernel, error) {
 	machineCfg := cfg.Machine
 	if cfg.CPUs > 0 {
@@ -211,7 +213,7 @@ func Boot(cfg Config) (*Kernel, error) {
 	// Scheduler CPU k and machine CPU k are one identity: thread
 	// bodies run their simulated memory traffic through the machine on
 	// their dispatching CPU, and placement learns the NUMA shape.
-	sched.AttachExec(machine)
+	sched.AttachMachine(machine)
 	if topo := machine.Topology(); topo != nil {
 		sched.SetTopology(topo.Nodes, topo.CPUsPerNode)
 	}
@@ -241,7 +243,7 @@ func Boot(cfg Config) (*Kernel, error) {
 	// sweep that condemns its proxies — no fresh mapping (or call)
 	// appears after DestroyDomain returns.
 	k.Proxies.SetGrantRegistry(k.Shm)
-	k.Proxies.OnCloseTarget(k.Shm.CondemnDomain)
+	k.Proxies.OnCloseTarget(func(ctx mmu.ContextID) { k.Shm.CondemnDomainFrom(mmu.BootCPU, ctx) })
 
 	// The nucleus is the only static composition in the system.
 	nucleus := obj.NewStaticComposition("paramecium.nucleus", meter)

@@ -63,7 +63,8 @@ type NetDriverConfig struct {
 	IOMode mem.IOMode
 }
 
-// NewNetDriver builds and starts a network driver for nic.
+// NewNetDriver builds and starts a network driver for nic, its receive
+// interrupt routed to the boot CPU.
 func NewNetDriver(class string, nic *hw.NIC, svc *mem.Service, evt *event.Service, cfg NetDriverConfig) (*NetDriver, error) {
 	grant, err := svc.AllocIOSpace(cfg.Ctx, nic.IORegion().Name, cfg.IOMode)
 	if err != nil {
@@ -95,7 +96,7 @@ func NewNetDriver(class string, nic *hw.NIC, svc *mem.Service, evt *event.Servic
 		return []any{rx, tx, dr}, nil
 	})
 
-	if err := evt.RegisterIRQ(d.line, class+"-rx", cfg.Ctx, cfg.Dispatch, func(f *hw.TrapFrame, t *threads.Thread) {
+	if err := evt.RegisterIRQOn(d.line, class+"-rx", cfg.Ctx, cfg.Dispatch, mmu.BootCPU, func(f *hw.TrapFrame, t *threads.Thread) {
 		d.drainRing()
 	}); err != nil {
 		_ = svc.ReleaseIOSpace(grant)

@@ -112,13 +112,8 @@ func New(machine *hw.Machine, sched *threads.Scheduler) *Service {
 	}
 }
 
-// RegisterIRQ binds an interrupt line to a call-back running in ctx
-// under the given dispatch policy, routed to the boot CPU.
-func (s *Service) RegisterIRQ(line hw.IRQLine, name string, ctx mmu.ContextID, d Dispatch, h Handler) error {
-	return s.RegisterIRQOn(line, name, ctx, d, mmu.BootCPU, h)
-}
-
-// RegisterIRQOn is RegisterIRQ with an explicit target CPU: raw and
+// RegisterIRQOn binds an interrupt line to a call-back running in ctx
+// under the given dispatch policy, routed to the target CPU: raw and
 // proto deliveries enter the call-back's context on that CPU's
 // register (so cross-context delivery charges land on it), and pop-up
 // threads — proto promotions and eager threads alike — are queued on

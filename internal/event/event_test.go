@@ -19,7 +19,7 @@ func newService() (*Service, *hw.Machine, *threads.Scheduler) {
 func TestRegisterIRQRawDispatch(t *testing.T) {
 	s, m, _ := newService()
 	count := 0
-	if err := s.RegisterIRQ(3, "net", mmu.KernelContext, DispatchRaw, func(f *hw.TrapFrame, th *threads.Thread) {
+	if err := s.RegisterIRQOn(3, "net", mmu.KernelContext, DispatchRaw, mmu.BootCPU, func(f *hw.TrapFrame, th *threads.Thread) {
 		if th != nil {
 			t.Error("raw dispatch passed a thread")
 		}
@@ -27,7 +27,7 @@ func TestRegisterIRQRawDispatch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RaiseIRQ(3); err != nil {
+	if err := m.RaiseIRQOn(3, mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
@@ -42,20 +42,20 @@ func TestRegisterIRQRawDispatch(t *testing.T) {
 func TestRegisterIRQDuplicate(t *testing.T) {
 	s, _, _ := newService()
 	h := func(*hw.TrapFrame, *threads.Thread) {}
-	if err := s.RegisterIRQ(1, "a", 0, DispatchRaw, h); err != nil {
+	if err := s.RegisterIRQOn(1, "a", 0, DispatchRaw, mmu.BootCPU, h); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RegisterIRQ(1, "b", 0, DispatchRaw, h); !errors.Is(err, ErrBound) {
+	if err := s.RegisterIRQOn(1, "b", 0, DispatchRaw, mmu.BootCPU, h); !errors.Is(err, ErrBound) {
 		t.Fatalf("duplicate: %v", err)
 	}
-	if err := s.RegisterIRQ(2, "c", 0, DispatchRaw, nil); err == nil {
+	if err := s.RegisterIRQOn(2, "c", 0, DispatchRaw, mmu.BootCPU, nil); err == nil {
 		t.Fatal("nil handler accepted")
 	}
 }
 
 func TestUnregisterIRQ(t *testing.T) {
 	s, m, _ := newService()
-	if err := s.RegisterIRQ(1, "a", 0, DispatchRaw, func(*hw.TrapFrame, *threads.Thread) {}); err != nil {
+	if err := s.RegisterIRQOn(1, "a", 0, DispatchRaw, mmu.BootCPU, func(*hw.TrapFrame, *threads.Thread) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.UnregisterIRQ(1); err != nil {
@@ -64,7 +64,7 @@ func TestUnregisterIRQ(t *testing.T) {
 	if err := s.UnregisterIRQ(1); !errors.Is(err, ErrNotBound) {
 		t.Fatalf("double unregister: %v", err)
 	}
-	if err := m.RaiseIRQ(1); !errors.Is(err, hw.ErrNoHandler) {
+	if err := m.RaiseIRQOn(1, mmu.BootCPU); !errors.Is(err, hw.ErrNoHandler) {
 		t.Fatalf("raise after unregister: %v", err)
 	}
 }
@@ -72,7 +72,7 @@ func TestUnregisterIRQ(t *testing.T) {
 func TestProtoDispatchInlineCompletion(t *testing.T) {
 	s, m, sched := newService()
 	ran := false
-	if err := s.RegisterIRQ(2, "fast", mmu.KernelContext, DispatchProto, func(f *hw.TrapFrame, th *threads.Thread) {
+	if err := s.RegisterIRQOn(2, "fast", mmu.KernelContext, DispatchProto, mmu.BootCPU, func(f *hw.TrapFrame, th *threads.Thread) {
 		if th == nil {
 			t.Error("proto dispatch passed nil thread")
 		}
@@ -80,7 +80,7 @@ func TestProtoDispatchInlineCompletion(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RaiseIRQ(2); err != nil {
+	if err := m.RaiseIRQOn(2, mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -111,14 +111,14 @@ func TestProtoDispatchPromotion(t *testing.T) {
 	sched.RunUntilIdle()
 
 	finished := false
-	if err := s.RegisterIRQ(2, "slow", mmu.KernelContext, DispatchProto, func(f *hw.TrapFrame, th *threads.Thread) {
+	if err := s.RegisterIRQOn(2, "slow", mmu.KernelContext, DispatchProto, mmu.BootCPU, func(f *hw.TrapFrame, th *threads.Thread) {
 		mtx.Lock(th) // held by holder -> promotion
 		finished = true
 		mtx.Unlock(th)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RaiseIRQ(2); err != nil {
+	if err := m.RaiseIRQOn(2, mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := s.IRQStats(2)
@@ -138,12 +138,12 @@ func TestProtoDispatchPromotion(t *testing.T) {
 func TestEagerDispatchDefersToScheduler(t *testing.T) {
 	s, m, sched := newService()
 	ran := false
-	if err := s.RegisterIRQ(5, "eager", mmu.KernelContext, DispatchEager, func(*hw.TrapFrame, *threads.Thread) {
+	if err := s.RegisterIRQOn(5, "eager", mmu.KernelContext, DispatchEager, mmu.BootCPU, func(*hw.TrapFrame, *threads.Thread) {
 		ran = true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RaiseIRQ(5); err != nil {
+	if err := m.RaiseIRQOn(5, mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	if ran {
@@ -162,19 +162,19 @@ func TestCrossContextDeliveryChargesSwitches(t *testing.T) {
 	s, m, _ := newService()
 	userCtx := m.MMU.NewContext()
 	var seen mmu.ContextID
-	if err := s.RegisterIRQ(1, "user-handler", userCtx, DispatchRaw, func(*hw.TrapFrame, *threads.Thread) {
-		seen = m.MMU.Current()
+	if err := s.RegisterIRQOn(1, "user-handler", userCtx, DispatchRaw, mmu.BootCPU, func(*hw.TrapFrame, *threads.Thread) {
+		seen = m.MMU.CurrentOn(mmu.BootCPU)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Meter.Count(clock.OpCtxSwitch)
-	if err := m.RaiseIRQ(1); err != nil {
+	if err := m.RaiseIRQOn(1, mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	if seen != userCtx {
 		t.Fatalf("handler ran in context %d, want %d", seen, userCtx)
 	}
-	if m.MMU.Current() != mmu.KernelContext {
+	if m.MMU.CurrentOn(mmu.BootCPU) != mmu.KernelContext {
 		t.Fatal("context not restored after delivery")
 	}
 	if got := m.Meter.Count(clock.OpCtxSwitch) - before; got != 2 {
@@ -184,11 +184,11 @@ func TestCrossContextDeliveryChargesSwitches(t *testing.T) {
 
 func TestSameContextDeliveryIsFree(t *testing.T) {
 	s, m, _ := newService()
-	if err := s.RegisterIRQ(1, "kern", mmu.KernelContext, DispatchRaw, func(*hw.TrapFrame, *threads.Thread) {}); err != nil {
+	if err := s.RegisterIRQOn(1, "kern", mmu.KernelContext, DispatchRaw, mmu.BootCPU, func(*hw.TrapFrame, *threads.Thread) {}); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Meter.Count(clock.OpCtxSwitch)
-	if err := m.RaiseIRQ(1); err != nil {
+	if err := m.RaiseIRQOn(1, mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Meter.Count(clock.OpCtxSwitch) - before; got != 0 {
@@ -200,15 +200,15 @@ func TestDeadContextFallsBack(t *testing.T) {
 	s, m, _ := newService()
 	ctx := m.MMU.NewContext()
 	ran := false
-	if err := s.RegisterIRQ(1, "zombie", ctx, DispatchRaw, func(*hw.TrapFrame, *threads.Thread) {
+	if err := s.RegisterIRQOn(1, "zombie", ctx, DispatchRaw, mmu.BootCPU, func(*hw.TrapFrame, *threads.Thread) {
 		ran = true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MMU.DestroyContext(ctx); err != nil {
+	if err := m.MMU.DestroyContextFrom(mmu.BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RaiseIRQ(1); err != nil {
+	if err := m.RaiseIRQOn(1, mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -277,7 +277,7 @@ func TestNICInterruptToProtoThreadPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []byte
-	if err := s.RegisterIRQ(4, "net-rx", mmu.KernelContext, DispatchProto, func(f *hw.TrapFrame, th *threads.Thread) {
+	if err := s.RegisterIRQOn(4, "net-rx", mmu.KernelContext, DispatchProto, mmu.BootCPU, func(f *hw.TrapFrame, th *threads.Thread) {
 		regs := nic.IORegion()
 		slot, _ := regs.ReadReg(hw.NICRegRxSlot)
 		length, _ := regs.ReadReg(hw.NICRegRxLen)

@@ -32,25 +32,33 @@ func (c *CPU) Current() mmu.ContextID { return c.m.MMU.CurrentOn(c.id) }
 // Switch makes id the CPU's active context.
 func (c *CPU) Switch(id mmu.ContextID) error { return c.m.MMU.SwitchOn(c.id, id) }
 
-// Load reads simulated memory through this CPU's MMU state.
+// Load reads len(buf) bytes of simulated memory at va in context ctx
+// through this CPU's MMU state. Page faults are delivered as traps; if
+// the page-fault handler reports the fault resolved, the access is
+// retried (once per page).
 func (c *CPU) Load(ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
 	return c.m.accessOn(c.id, ctx, va, buf, mmu.AccessRead)
 }
 
-// Store writes simulated memory through this CPU's MMU state.
+// Store writes buf to simulated memory at va in context ctx through
+// this CPU's MMU state.
 func (c *CPU) Store(ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
 	return c.m.accessOn(c.id, ctx, va, buf, mmu.AccessWrite)
 }
 
-// Touch performs a zero-length access on this CPU; see Machine.Touch.
+// Touch performs a zero-length access of the given kind at va on this
+// CPU: the full translation (and fault) machinery without moving data.
 func (c *CPU) Touch(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) error {
-	return c.TouchTagged(ctx, va, access, 0)
+	return c.TouchTagged(ctx, va, access, nil)
 }
 
-// TouchTagged is Touch with a caller-supplied token; see
-// Machine.TouchTagged.
-func (c *CPU) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) error {
-	_, err := c.m.translateWithFaults(c.id, ctx, va, access, token)
+// TouchTagged is Touch with a caller-supplied tag delivered in the trap
+// frame of any resulting page fault (nil means untagged). Proxy
+// invocation uses it with AccessExec on interface entry slots: the tag
+// is the call frame itself, so any number of concurrent calls through
+// the same entry page each reach their own arguments and results.
+func (c *CPU) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, tag any) error {
+	_, err := c.m.translateWithFaults(c.id, ctx, va, access, tag)
 	return err
 }
 

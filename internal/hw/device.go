@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"paramecium/internal/mmu"
 )
 
 // Device is a simulated hardware device. Devices expose their control
@@ -78,7 +80,8 @@ func (b *baseDevice) attach(m *Machine) {
 	b.mu.Unlock()
 }
 
-// raise raises the device's interrupt if the device is attached.
+// raise raises the device's interrupt on the boot CPU if the device is
+// attached: devices carry no CPU affinity.
 func (b *baseDevice) raise(line IRQLine) {
 	b.mu.Lock()
 	m := b.machine
@@ -86,6 +89,6 @@ func (b *baseDevice) raise(line IRQLine) {
 	if m != nil {
 		// Delivery errors (no handler yet) are deliberately dropped:
 		// real devices do not care whether software listens.
-		_ = m.RaiseIRQ(line)
+		_ = m.RaiseIRQOn(line, mmu.BootCPU)
 	}
 }

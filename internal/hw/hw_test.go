@@ -65,7 +65,7 @@ func TestIRQDispatchAndMasking(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RaiseIRQ(3); err != nil {
+	if err := m.RaiseIRQOn(3, mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
@@ -75,7 +75,7 @@ func TestIRQDispatchAndMasking(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := m.RaiseIRQ(3); err != nil {
+		if err := m.RaiseIRQOn(3, mmu.BootCPU); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,11 +92,11 @@ func TestIRQDispatchAndMasking(t *testing.T) {
 
 func TestIRQBadLine(t *testing.T) {
 	m := newTestMachine()
-	if err := m.RaiseIRQ(-1); !errors.Is(err, ErrBadIRQ) {
-		t.Fatalf("RaiseIRQ(-1): %v", err)
+	if err := m.RaiseIRQOn(-1, mmu.BootCPU); !errors.Is(err, ErrBadIRQ) {
+		t.Fatalf("RaiseIRQOn(-1): %v", err)
 	}
-	if err := m.RaiseIRQ(NumIRQLines); !errors.Is(err, ErrBadIRQ) {
-		t.Fatalf("RaiseIRQ(max): %v", err)
+	if err := m.RaiseIRQOn(NumIRQLines, mmu.BootCPU); !errors.Is(err, ErrBadIRQ) {
+		t.Fatalf("RaiseIRQOn(max): %v", err)
 	}
 	if _, err := m.SetIRQHandler(NumIRQLines, nil); !errors.Is(err, ErrBadIRQ) {
 		t.Fatalf("SetIRQHandler: %v", err)
@@ -111,7 +111,7 @@ func TestIRQBadLine(t *testing.T) {
 
 func TestIRQNoHandlerDropsAndCounts(t *testing.T) {
 	m := newTestMachine()
-	if err := m.RaiseIRQ(5); !errors.Is(err, ErrNoHandler) {
+	if err := m.RaiseIRQOn(5, mmu.BootCPU); !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("err = %v", err)
 	}
 	_, _, dropped := m.Stats()
@@ -122,20 +122,21 @@ func TestIRQNoHandlerDropsAndCounts(t *testing.T) {
 
 func TestLoadStoreThroughMMU(t *testing.T) {
 	m := newTestMachine()
+	boot := m.CPUByID(mmu.BootCPU)
 	ctx := m.MMU.NewContext()
 	frame, err := m.Phys.AllocFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MMU.Map(ctx, 0x10000, frame, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := m.MMU.MapOn(mmu.BootCPU, ctx, 0x10000, frame, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	msg := []byte("paramecium")
-	if err := m.Store(ctx, 0x10004, msg); err != nil {
+	if err := boot.Store(ctx, 0x10004, msg); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
-	if err := m.Load(ctx, 0x10004, got); err != nil {
+	if err := boot.Load(ctx, 0x10004, got); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(msg) {
@@ -146,7 +147,7 @@ func TestLoadStoreThroughMMU(t *testing.T) {
 func TestStoreToUnmappedFaults(t *testing.T) {
 	m := newTestMachine()
 	ctx := m.MMU.NewContext()
-	err := m.Store(ctx, 0x2000, []byte{1})
+	err := m.CPUByID(mmu.BootCPU).Store(ctx, 0x2000, []byte{1})
 	var f *mmu.Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want *mmu.Fault", err)
@@ -158,6 +159,7 @@ func TestStoreToUnmappedFaults(t *testing.T) {
 
 func TestPageFaultHandlerResolvesAndRetries(t *testing.T) {
 	m := newTestMachine()
+	boot := m.CPUByID(mmu.BootCPU)
 	ctx := m.MMU.NewContext()
 	faults := 0
 	m.SetTrapHandler(TrapPageFault, func(f *TrapFrame) bool {
@@ -166,19 +168,19 @@ func TestPageFaultHandlerResolvesAndRetries(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := m.MMU.Map(f.Ctx, f.Addr, frame, mmu.PermRead|mmu.PermWrite); err != nil {
+		if err := m.MMU.MapOn(mmu.BootCPU, f.Ctx, f.Addr, frame, mmu.PermRead|mmu.PermWrite); err != nil {
 			return false
 		}
 		return true
 	})
-	if err := m.Store(ctx, 0x5000, []byte("demand paged")); err != nil {
+	if err := boot.Store(ctx, 0x5000, []byte("demand paged")); err != nil {
 		t.Fatalf("store after resolving fault: %v", err)
 	}
 	if faults != 1 {
 		t.Fatalf("faults = %d, want 1", faults)
 	}
 	// Second access must not fault again.
-	if err := m.Store(ctx, 0x5000, []byte("again")); err != nil {
+	if err := boot.Store(ctx, 0x5000, []byte("again")); err != nil {
 		t.Fatal(err)
 	}
 	if faults != 1 {
@@ -190,7 +192,7 @@ func TestPageFaultHandlerDeclines(t *testing.T) {
 	m := newTestMachine()
 	ctx := m.MMU.NewContext()
 	m.SetTrapHandler(TrapPageFault, func(*TrapFrame) bool { return false })
-	err := m.Load(ctx, 0x1000, make([]byte, 1))
+	err := m.CPUByID(mmu.BootCPU).Load(ctx, 0x1000, make([]byte, 1))
 	var f *mmu.Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want the fault", err)
@@ -207,7 +209,7 @@ func TestPageFaultHandlerLiesDetected(t *testing.T) {
 		calls++
 		return true
 	})
-	err := m.Load(ctx, 0x1000, make([]byte, 1))
+	err := m.CPUByID(mmu.BootCPU).Load(ctx, 0x1000, make([]byte, 1))
 	if err == nil {
 		t.Fatal("access succeeded without a mapping")
 	}
@@ -218,13 +220,14 @@ func TestPageFaultHandlerLiesDetected(t *testing.T) {
 
 func TestAccessSpanningPages(t *testing.T) {
 	m := newTestMachine()
+	boot := m.CPUByID(mmu.BootCPU)
 	ctx := m.MMU.NewContext()
 	f1, _ := m.Phys.AllocFrame()
 	f2, _ := m.Phys.AllocFrame()
-	if err := m.MMU.Map(ctx, 0x1000, f1, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := m.MMU.MapOn(mmu.BootCPU, ctx, 0x1000, f1, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MMU.Map(ctx, 0x2000, f2, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := m.MMU.MapOn(mmu.BootCPU, ctx, 0x2000, f2, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	data := make([]byte, 256)
@@ -232,11 +235,11 @@ func TestAccessSpanningPages(t *testing.T) {
 		data[i] = byte(i)
 	}
 	va := mmu.VAddr(0x2000 - 100)
-	if err := m.Store(ctx, va, data); err != nil {
+	if err := boot.Store(ctx, va, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 256)
-	if err := m.Load(ctx, va, got); err != nil {
+	if err := boot.Load(ctx, va, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -250,7 +253,7 @@ func TestTouchExecRaisesProtectionFault(t *testing.T) {
 	m := newTestMachine()
 	ctx := m.MMU.NewContext()
 	frame, _ := m.Phys.AllocFrame()
-	if err := m.MMU.Map(ctx, 0x8000, frame, mmu.PermRead); err != nil {
+	if err := m.MMU.MapOn(mmu.BootCPU, ctx, 0x8000, frame, mmu.PermRead); err != nil {
 		t.Fatal(err)
 	}
 	handled := false
@@ -261,7 +264,7 @@ func TestTouchExecRaisesProtectionFault(t *testing.T) {
 		}
 		return false
 	})
-	if err := m.Touch(ctx, 0x8000, mmu.AccessExec); err == nil {
+	if err := m.CPUByID(mmu.BootCPU).Touch(ctx, 0x8000, mmu.AccessExec); err == nil {
 		t.Fatal("exec touch on non-exec page succeeded")
 	}
 	if !handled {

@@ -5,7 +5,7 @@
 //
 // The machine is deliberately not an instruction-set simulator.
 // Components execute as Go code (or as PVM bytecode, package sandbox),
-// but every access to *simulated memory* goes through Load/Store and
+// but every access to *simulated memory* goes through CPU.Load/Store and
 // therefore through the MMU, and every privileged transition (trap,
 // interrupt, context switch) is charged on the shared cycle meter. This
 // is exactly the level of detail the paper's arguments live at: counts
@@ -68,11 +68,11 @@ type TrapFrame struct {
 	Access mmu.Access
 	Fault  *mmu.Fault // populated for page-fault traps
 	Arg    uint64     // syscall number or device-specific argument
-	// Token is a caller-supplied tag threaded from TouchTagged through
-	// to the fault handler. Reentrant handlers (the cross-domain proxy)
-	// key per-call state on it so concurrent faults on one page find
-	// their own call frames. Zero means "untagged access".
-	Token uint64
+	// Tag is a caller-supplied value threaded from CPU.TouchTagged
+	// through to the fault handler. Reentrant handlers (the cross-domain
+	// proxy) carry per-call state in it, so concurrent faults on one
+	// page each reach their own call frame. Nil means "untagged access".
+	Tag any
 	// CPU is the virtual CPU the trap or interrupt was delivered on.
 	// Handlers that switch contexts or charge TLB traffic use it to
 	// operate on the right per-CPU MMU state.
@@ -222,7 +222,8 @@ func (m *Machine) MaskIRQ(line IRQLine) error {
 	return nil
 }
 
-// UnmaskIRQ re-enables a line and delivers any pending interrupts.
+// UnmaskIRQ re-enables a line and delivers any pending interrupts to
+// the boot CPU.
 func (m *Machine) UnmaskIRQ(line IRQLine) error {
 	if line < 0 || line >= NumIRQLines {
 		return fmt.Errorf("%w: %d", ErrBadIRQ, line)
@@ -233,7 +234,7 @@ func (m *Machine) UnmaskIRQ(line IRQLine) error {
 	m.irqMasked[line] = false
 	m.mu.Unlock()
 	for i := 0; i < pending; i++ {
-		if err := m.RaiseIRQ(line); err != nil {
+		if err := m.RaiseIRQOn(line, mmu.BootCPU); err != nil {
 			return err
 		}
 	}
@@ -265,13 +266,6 @@ func (m *Machine) RaiseTrap(frame *TrapFrame) (bool, error) {
 		return false, fmt.Errorf("%w: trap %v", ErrNoHandler, frame.Vector)
 	}
 	return h(frame), nil
-}
-
-// RaiseIRQ delivers an asynchronous interrupt on the given line to the
-// boot CPU. Masked lines accumulate pending counts; unhandled lines
-// drop the interrupt and count it.
-func (m *Machine) RaiseIRQ(line IRQLine) error {
-	return m.RaiseIRQOn(line, mmu.BootCPU)
 }
 
 // RaiseIRQOn delivers an interrupt on the given line to one CPU: the
@@ -311,72 +305,13 @@ func (m *Machine) Stats() (traps, irqs, dropped uint64) {
 	return m.trapsDelivered.Load(), m.irqsDelivered.Load(), m.irqsDropped.Load()
 }
 
-// Load reads len(buf) bytes of simulated memory at va in context ctx
-// on the boot CPU. Page faults are delivered as traps; if the
-// page-fault handler reports the fault resolved, the access is retried
-// (once per page). Per-CPU accesses go through CPU.Load.
-func (m *Machine) Load(ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
-	return m.accessOn(mmu.BootCPU, ctx, va, buf, mmu.AccessRead)
-}
-
-// Store writes buf to simulated memory at va in context ctx on the
-// boot CPU.
-func (m *Machine) Store(ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
-	return m.accessOn(mmu.BootCPU, ctx, va, buf, mmu.AccessWrite)
-}
-
-// Touch performs a zero-length access of the given kind at va on the
-// boot CPU: it runs the full translation (and fault) machinery without
-// moving data.
-func (m *Machine) Touch(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) error {
-	return m.TouchTagged(ctx, va, access, 0)
-}
-
-// TouchTagged is Touch with a caller-supplied token delivered in the
-// trap frame of any resulting page fault. Proxy invocation uses it
-// with AccessExec on interface entry slots: the token keys the call
-// frame, so any number of concurrent calls through the same entry page
-// each reach their own arguments and results. It runs on the boot CPU;
-// CPU.TouchTagged is the per-CPU form.
-func (m *Machine) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) error {
-	_, err := m.translateWithFaults(mmu.BootCPU, ctx, va, access, token)
-	return err
-}
-
-// LoadOn reads len(buf) bytes of simulated memory at va in context ctx
-// through the named CPU's MMU state: the initiator-threaded form of
-// Load, used wherever the accessing CPU is known (thread execution
-// contexts, lease holders).
-func (m *Machine) LoadOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
-	return m.accessOn(cpu, ctx, va, buf, mmu.AccessRead)
-}
-
-// StoreOn writes buf to simulated memory at va in context ctx through
-// the named CPU's MMU state.
-func (m *Machine) StoreOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
-	return m.accessOn(cpu, ctx, va, buf, mmu.AccessWrite)
-}
-
-// TouchOn performs a zero-length access of the given kind at va on the
-// named CPU: the full translation (and fault) machinery, no data.
-func (m *Machine) TouchOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) error {
-	return m.TouchTaggedOn(cpu, ctx, va, access, 0)
-}
-
-// TouchTaggedOn is TouchOn with a caller-supplied token delivered in
-// the trap frame of any resulting page fault; see Machine.TouchTagged.
-func (m *Machine) TouchTaggedOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) error {
-	_, err := m.translateWithFaults(cpu, ctx, va, access, token)
-	return err
-}
-
 // accessOn moves buf through the MMU page by page on one CPU: the
-// memory-access data plane under every Load/Store.
+// memory-access data plane under every CPU.Load/Store.
 //
 //paramecium:hotpath
 func (m *Machine) accessOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []byte, kind mmu.Access) error {
 	for len(buf) > 0 {
-		pa, err := m.translateWithFaults(cpu, ctx, va, kind, 0)
+		pa, err := m.translateWithFaults(cpu, ctx, va, kind, nil)
 		if err != nil {
 			return err
 		}
@@ -419,7 +354,7 @@ var trapFramePool = sync.Pool{New: func() any { return new(TrapFrame) }}
 // page-fault trap on failure and retrying once if the handler reports
 // the fault resolved. The trap frame carries the CPU, so the handler's
 // own crossings and TLB traffic charge against the faulting CPU.
-func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, kind mmu.Access, token uint64) (mmu.PAddr, error) {
+func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, kind mmu.Access, tag any) (mmu.PAddr, error) {
 	for attempt := 0; ; attempt++ {
 		pa, err := m.MMU.TranslateOn(cpu, ctx, va, kind)
 		if err == nil {
@@ -445,7 +380,7 @@ func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.V
 			Addr:   va,
 			Access: kind,
 			Fault:  f,
-			Token:  token,
+			Tag:    tag,
 			CPU:    cpu,
 		}
 		resolved, herr := m.RaiseTrap(frame)

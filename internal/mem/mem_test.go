@@ -15,15 +15,16 @@ func newService(frames int) (*Service, *hw.Machine) {
 
 func TestAllocPageAndAccess(t *testing.T) {
 	s, m := newService(16)
+	boot := m.CPUByID(mmu.BootCPU)
 	ctx := s.NewDomain()
-	if err := s.AllocPage(ctx, 0x10000, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := s.AllocPageOn(mmu.BootCPU, ctx, 0x10000, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Store(ctx, 0x10010, []byte("data")); err != nil {
+	if err := boot.Store(ctx, 0x10010, []byte("data")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4)
-	if err := m.Load(ctx, 0x10010, buf); err != nil {
+	if err := boot.Load(ctx, 0x10010, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "data" {
@@ -34,10 +35,10 @@ func TestAllocPageAndAccess(t *testing.T) {
 func TestAllocPageDuplicate(t *testing.T) {
 	s, _ := newService(16)
 	ctx := s.NewDomain()
-	if err := s.AllocPage(ctx, 0x1000, mmu.PermRead); err != nil {
+	if err := s.AllocPageOn(mmu.BootCPU, ctx, 0x1000, mmu.PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AllocPage(ctx, 0x1800, mmu.PermRead); !errors.Is(err, ErrPageBusy) {
+	if err := s.AllocPageOn(mmu.BootCPU, ctx, 0x1800, mmu.PermRead); !errors.Is(err, ErrPageBusy) {
 		t.Fatalf("same page: %v", err) // 0x1800 is within the same page
 	}
 }
@@ -45,10 +46,10 @@ func TestAllocPageDuplicate(t *testing.T) {
 func TestAllocPageOutOfMemory(t *testing.T) {
 	s, _ := newService(1)
 	ctx := s.NewDomain()
-	if err := s.AllocPage(ctx, 0x1000, mmu.PermRead); err != nil {
+	if err := s.AllocPageOn(mmu.BootCPU, ctx, 0x1000, mmu.PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AllocPage(ctx, 0x2000, mmu.PermRead); !errors.Is(err, mmu.ErrOutOfMemory) {
+	if err := s.AllocPageOn(mmu.BootCPU, ctx, 0x2000, mmu.PermRead); !errors.Is(err, mmu.ErrOutOfMemory) {
 		t.Fatalf("OOM: %v", err)
 	}
 }
@@ -64,34 +65,35 @@ func TestAllocRange(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	if err := m.Store(ctx, 0x4000, data); err != nil {
+	if err := m.CPUByID(mmu.BootCPU).Store(ctx, 0x4000, data); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSharePage(t *testing.T) {
 	s, m := newService(16)
+	boot := m.CPUByID(mmu.BootCPU)
 	a := s.NewDomain()
 	b := s.NewDomain()
-	if err := s.AllocPage(a, 0x1000, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := s.AllocPageOn(mmu.BootCPU, a, 0x1000, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SharePage(a, 0x1000, b, 0x8000, mmu.PermRead); err != nil {
+	if err := s.SharePageOn(mmu.BootCPU, a, 0x1000, b, 0x8000, mmu.PermRead); err != nil {
 		t.Fatal(err)
 	}
 	// Writes in a are visible in b.
-	if err := m.Store(a, 0x1000, []byte("shared!")); err != nil {
+	if err := boot.Store(a, 0x1000, []byte("shared!")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 7)
-	if err := m.Load(b, 0x8000, buf); err != nil {
+	if err := boot.Load(b, 0x8000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "shared!" {
 		t.Fatalf("b sees %q", buf)
 	}
 	// b's mapping is read-only.
-	if err := m.Store(b, 0x8000, []byte("x")); err == nil {
+	if err := boot.Store(b, 0x8000, []byte("x")); err == nil {
 		t.Fatal("read-only sharer could write")
 	}
 	// Frame is refcounted at 2.
@@ -107,16 +109,16 @@ func TestSharePage(t *testing.T) {
 func TestSharePageErrors(t *testing.T) {
 	s, _ := newService(16)
 	a, b := s.NewDomain(), s.NewDomain()
-	if err := s.SharePage(a, 0x1000, b, 0x2000, mmu.PermRead); !errors.Is(err, ErrNoPage) {
+	if err := s.SharePageOn(mmu.BootCPU, a, 0x1000, b, 0x2000, mmu.PermRead); !errors.Is(err, ErrNoPage) {
 		t.Fatalf("share unmanaged: %v", err)
 	}
-	if err := s.AllocPage(a, 0x1000, mmu.PermRead); err != nil {
+	if err := s.AllocPageOn(mmu.BootCPU, a, 0x1000, mmu.PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AllocPage(b, 0x2000, mmu.PermRead); err != nil {
+	if err := s.AllocPageOn(mmu.BootCPU, b, 0x2000, mmu.PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SharePage(a, 0x1000, b, 0x2000, mmu.PermRead); !errors.Is(err, ErrPageBusy) {
+	if err := s.SharePageOn(mmu.BootCPU, a, 0x1000, b, 0x2000, mmu.PermRead); !errors.Is(err, ErrPageBusy) {
 		t.Fatalf("share onto busy: %v", err)
 	}
 }
@@ -124,42 +126,43 @@ func TestSharePageErrors(t *testing.T) {
 func TestFreePage(t *testing.T) {
 	s, m := newService(4)
 	ctx := s.NewDomain()
-	if err := s.AllocPage(ctx, 0x1000, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := s.AllocPageOn(mmu.BootCPU, ctx, 0x1000, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	free := m.Phys.FreeFrames()
-	if err := s.FreePage(ctx, 0x1000); err != nil {
+	if err := s.FreePageOn(mmu.BootCPU, ctx, 0x1000); err != nil {
 		t.Fatal(err)
 	}
 	if m.Phys.FreeFrames() != free+1 {
 		t.Fatal("frame not returned")
 	}
-	if err := m.Load(ctx, 0x1000, make([]byte, 1)); err == nil {
+	if err := m.CPUByID(mmu.BootCPU).Load(ctx, 0x1000, make([]byte, 1)); err == nil {
 		t.Fatal("freed page still readable")
 	}
-	if err := s.FreePage(ctx, 0x1000); !errors.Is(err, ErrNoPage) {
+	if err := s.FreePageOn(mmu.BootCPU, ctx, 0x1000); !errors.Is(err, ErrNoPage) {
 		t.Fatalf("double free: %v", err)
 	}
 }
 
 func TestFreeSharedPageKeepsFrame(t *testing.T) {
 	s, m := newService(4)
+	boot := m.CPUByID(mmu.BootCPU)
 	a, b := s.NewDomain(), s.NewDomain()
-	if err := s.AllocPage(a, 0x1000, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := s.AllocPageOn(mmu.BootCPU, a, 0x1000, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SharePage(a, 0x1000, b, 0x1000, mmu.PermRead); err != nil {
+	if err := s.SharePageOn(mmu.BootCPU, a, 0x1000, b, 0x1000, mmu.PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Store(a, 0x1000, []byte("persist")); err != nil {
+	if err := boot.Store(a, 0x1000, []byte("persist")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.FreePage(a, 0x1000); err != nil {
+	if err := s.FreePageOn(mmu.BootCPU, a, 0x1000); err != nil {
 		t.Fatal(err)
 	}
 	// b still reads the data; the frame survived.
 	buf := make([]byte, 7)
-	if err := m.Load(b, 0x1000, buf); err != nil {
+	if err := boot.Load(b, 0x1000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "persist" {
@@ -170,41 +173,42 @@ func TestFreeSharedPageKeepsFrame(t *testing.T) {
 func TestProtect(t *testing.T) {
 	s, m := newService(4)
 	ctx := s.NewDomain()
-	if err := s.AllocPage(ctx, 0x1000, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := s.AllocPageOn(mmu.BootCPU, ctx, 0x1000, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Protect(ctx, 0x1000, mmu.PermRead); err != nil {
+	if err := s.ProtectOn(mmu.BootCPU, ctx, 0x1000, mmu.PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Store(ctx, 0x1000, []byte("x")); err == nil {
+	if err := m.CPUByID(mmu.BootCPU).Store(ctx, 0x1000, []byte("x")); err == nil {
 		t.Fatal("write allowed after Protect")
 	}
-	if err := s.Protect(ctx, 0x9000, mmu.PermRead); !errors.Is(err, ErrNoPage) {
+	if err := s.ProtectOn(mmu.BootCPU, ctx, 0x9000, mmu.PermRead); !errors.Is(err, ErrNoPage) {
 		t.Fatalf("protect unmanaged: %v", err)
 	}
 }
 
 func TestFaultHandlerDemandPaging(t *testing.T) {
 	s, m := newService(8)
+	boot := m.CPUByID(mmu.BootCPU)
 	ctx := s.NewDomain()
 	faults := 0
 	if err := s.RegisterFaultHandler(ctx, 0x5000, func(f *hw.TrapFrame) bool {
 		faults++
-		if err := s.AllocPage(f.Ctx, f.Addr.PageBase(), mmu.PermRead|mmu.PermWrite); err != nil {
+		if err := s.AllocPageOn(mmu.BootCPU, f.Ctx, f.Addr.PageBase(), mmu.PermRead|mmu.PermWrite); err != nil {
 			return false
 		}
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Store(ctx, 0x5008, []byte("lazy")); err != nil {
+	if err := boot.Store(ctx, 0x5008, []byte("lazy")); err != nil {
 		t.Fatalf("demand-paged store: %v", err)
 	}
 	if faults != 1 {
 		t.Fatalf("faults = %d", faults)
 	}
 	// Warm access: no new fault.
-	if err := m.Store(ctx, 0x5008, []byte("warm")); err != nil {
+	if err := boot.Store(ctx, 0x5008, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	if faults != 1 {
@@ -219,7 +223,7 @@ func TestFaultHandlerDemandPaging(t *testing.T) {
 func TestFaultWithoutHandlerIsUnresolved(t *testing.T) {
 	s, m := newService(8)
 	ctx := s.NewDomain()
-	if err := m.Load(ctx, 0x7000, make([]byte, 1)); err == nil {
+	if err := m.CPUByID(mmu.BootCPU).Load(ctx, 0x7000, make([]byte, 1)); err == nil {
 		t.Fatal("unhandled fault did not error")
 	}
 	_, unknown := s.FaultStats()
@@ -272,21 +276,22 @@ func TestDestroyDomainReclaimsEverything(t *testing.T) {
 
 func TestDestroyDomainKeepsSharedFrames(t *testing.T) {
 	s, m := newService(8)
+	boot := m.CPUByID(mmu.BootCPU)
 	a, b := s.NewDomain(), s.NewDomain()
-	if err := s.AllocPage(a, 0x1000, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := s.AllocPageOn(mmu.BootCPU, a, 0x1000, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SharePage(a, 0x1000, b, 0x2000, mmu.PermRead|mmu.PermWrite); err != nil {
+	if err := s.SharePageOn(mmu.BootCPU, a, 0x1000, b, 0x2000, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Store(a, 0x1000, []byte("alive")); err != nil {
+	if err := boot.Store(a, 0x1000, []byte("alive")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DestroyDomain(a); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 5)
-	if err := m.Load(b, 0x2000, buf); err != nil {
+	if err := boot.Load(b, 0x2000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "alive" {

@@ -20,7 +20,7 @@ func newMultiMMU(t *testing.T, cfg Config) (*MMU, *clock.Meter) {
 func TestPerCPUTLBIsolation(t *testing.T) {
 	m, _ := newMultiMMU(t, Config{CPUs: 2})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x4000, 7, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x4000, 7, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	// CPU 0: miss then hit.
@@ -51,9 +51,9 @@ func TestPerCPUTLBIsolation(t *testing.T) {
 	if s := m.TLBStatsOn(0); s.Hits != 2 || s.Flushes != 0 {
 		t.Fatalf("CPU0 after CPU1 flush = %+v, want 2 hits / 0 flushes", s)
 	}
-	// The aggregate view sums the per-CPU counters.
-	hits, misses := m.TLBStats()
-	if hits != 2 || misses != 2 {
+	// The per-CPU counters partition the machine's TLB traffic.
+	s0, s1 = m.TLBStatsOn(0), m.TLBStatsOn(1)
+	if hits, misses := s0.Hits+s1.Hits, s0.Misses+s1.Misses; hits != 2 || misses != 2 {
 		t.Fatalf("aggregate = %d hits / %d misses, want 2/2", hits, misses)
 	}
 }
@@ -76,14 +76,14 @@ func TestPerCPUCurrentRegisters(t *testing.T) {
 	if got := meter.Count(clock.OpCtxSwitch) - before; got != 1 {
 		t.Fatalf("switches charged = %d, want 1", got)
 	}
-	err := m.DestroyContext(ctx)
+	err := m.DestroyContextFrom(BootCPU, ctx)
 	if err == nil || !strings.Contains(err.Error(), "CPU 1") {
 		t.Fatalf("destroy of CPU1-current context: %v", err)
 	}
 	if err := m.SwitchOn(1, KernelContext); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DestroyContext(ctx); err != nil {
+	if err := m.DestroyContextFrom(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -93,7 +93,7 @@ func TestPerCPUCurrentRegisters(t *testing.T) {
 func TestSwitchFlushesOnlyThatCPU(t *testing.T) {
 	m, _ := newMultiMMU(t, Config{CPUs: 2, FlushOnSwitch: true})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x1000, 3, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x1000, 3, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	for cpu := CPUID(0); cpu < 2; cpu++ {
@@ -130,7 +130,7 @@ func TestShardedTranslationParallel(t *testing.T) {
 	m, _ := newMultiMMU(t, Config{CPUs: 4})
 	ctxA, ctxB, ctxChurn := m.NewContext(), m.NewContext(), m.NewContext()
 	for _, ctx := range []ContextID{ctxA, ctxB} {
-		if err := m.Map(ctx, 0x2000, 5, PermRead|PermWrite); err != nil {
+		if err := m.MapOn(BootCPU, ctx, 0x2000, 5, PermRead|PermWrite); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,11 +156,11 @@ func TestShardedTranslationParallel(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if err := m.Map(ctxChurn, 0x9000, uint64(i%16), PermRead); err != nil {
+			if err := m.MapOn(BootCPU, ctxChurn, 0x9000, uint64(i%16), PermRead); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := m.Unmap(ctxChurn, 0x9000); err != nil {
+			if err := m.UnmapOn(BootCPU, ctxChurn, 0x9000); err != nil {
 				t.Error(err)
 				return
 			}
@@ -174,7 +174,7 @@ func TestShardedTranslationParallel(t *testing.T) {
 func TestUnmapShootsDownEveryCPU(t *testing.T) {
 	m, _ := newMultiMMU(t, Config{CPUs: 2})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x3000, 4, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x3000, 4, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	for cpu := CPUID(0); cpu < 2; cpu++ {
@@ -182,7 +182,7 @@ func TestUnmapShootsDownEveryCPU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Unmap(ctx, 0x3000); err != nil {
+	if err := m.UnmapOn(BootCPU, ctx, 0x3000); err != nil {
 		t.Fatal(err)
 	}
 	for cpu := CPUID(0); cpu < 2; cpu++ {

@@ -138,7 +138,7 @@ func (k FaultKind) String() string {
 }
 
 // Fault describes a failed translation. It implements error so the MMU
-// can return it directly from Translate.
+// can return it directly from TranslateOn.
 type Fault struct {
 	Kind    FaultKind
 	Ctx     ContextID
@@ -161,11 +161,13 @@ type ContextID uint32
 const KernelContext ContextID = 0
 
 // CPUID names one virtual CPU of the simulated machine. CPU 0 is the
-// boot CPU; every legacy single-CPU entry point operates on it.
+// boot CPU. Every per-CPU operation takes the CPU it runs on (or
+// initiates from) as an explicit argument.
 type CPUID int
 
-// BootCPU is the CPU the machine boots on, and the CPU every
-// non-suffixed (single-CPU compatibility) method operates on.
+// BootCPU is the CPU the machine boots on, where the nucleus' own
+// control plane (domain setup and teardown, device interrupts) runs.
+// Callers that choose it name it explicitly.
 const BootCPU CPUID = 0
 
 // NoCPU is the sentinel for "no CPU": a thread that has never been
@@ -190,7 +192,7 @@ type pageTable struct {
 	entries map[uint64]PTE // keyed by VPN
 	// dead marks a table whose context has been destroyed. Operations
 	// fetch the table under the structure lock and then lock pt.mu;
-	// DestroyContext can complete in that window, so every operation
+	// DestroyContextFrom can complete in that window, so every operation
 	// re-checks dead under pt.mu — a stale fetch then fails exactly
 	// like a fresh lookup of the missing context would.
 	dead bool
@@ -302,15 +304,6 @@ func (m *MMU) NewContext() ContextID {
 	return id
 }
 
-// DestroyContext removes a context, invalidating all of its TLB entries
-// on every CPU. The teardown initiates from the boot CPU (the nucleus'
-// memory service runs there); see DestroyContextFrom for the
-// initiator-aware form. Destroying the kernel context or a context that
-// is current on any CPU is an error.
-func (m *MMU) DestroyContext(id ContextID) error {
-	return m.DestroyContextFrom(BootCPU, id)
-}
-
 // DestroyContextFrom removes a context, invalidating all of its TLB
 // entries on every CPU. Each REMOTE CPU (one other than the initiator)
 // whose TLB actually held entries for the context costs one
@@ -378,17 +371,10 @@ func (m *MMU) HasContext(id ContextID) bool {
 	return ok
 }
 
-// Current reports the boot CPU's active context. Lock-free: the context
-// register is read on every cross-domain fault.
-func (m *MMU) Current() ContextID { return m.CurrentOn(BootCPU) }
-
 // CurrentOn reports the active context of one CPU, lock-free.
 func (m *MMU) CurrentOn(cpu CPUID) ContextID {
 	return ContextID(m.cpu(cpu).current.Load())
 }
-
-// Switch makes id the active context on the boot CPU.
-func (m *MMU) Switch(id ContextID) error { return m.SwitchOn(BootCPU, id) }
 
 // SwitchOn makes id the active context on one CPU, charging the
 // context-switch cost. Switching to the already-active context is free.
@@ -397,7 +383,7 @@ func (m *MMU) Switch(id ContextID) error { return m.SwitchOn(BootCPU, id) }
 func (m *MMU) SwitchOn(cpu CPUID, id ContextID) error {
 	c := m.cpu(cpu)
 	// Hold the structure read-lock across the register write so
-	// DestroyContext's current-on-any-CPU check (under the write lock)
+	// DestroyContextFrom's current-on-any-CPU check (under the write lock)
 	// can never interleave with a half-done switch.
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -452,24 +438,20 @@ func (m *MMU) CrossSwitchOn(cpu CPUID, to ContextID) error {
 	return nil
 }
 
-// Map installs a translation for the page containing va in context id,
-// initiating any shootdown from the boot CPU (the single-CPU
-// compatibility form; see MapOn).
+// Map is MapOn initiated from the boot CPU. It is the one boot-CPU
+// shorthand the MMU keeps: the perfbench module (built against this
+// package, outside the main module) calls it; everything in the main
+// module calls MapOn with its initiator.
 func (m *MMU) Map(id ContextID, va VAddr, frame uint64, perm Perm) error {
-	return m.MapTaggedOn(BootCPU, id, va, frame, perm, nil)
+	return m.MapOn(BootCPU, id, va, frame, perm)
 }
 
-// MapOn is Map initiated from the given CPU: that CPU invalidates its
-// own stale TLB entry for free, and only other CPUs holding the entry
-// are charged a shootdown IPI.
+// MapOn installs a translation for the page containing va in context
+// id, initiated from the given CPU: that CPU invalidates its own stale
+// TLB entry for free, and only other CPUs holding the entry are
+// charged a shootdown IPI.
 func (m *MMU) MapOn(initiator CPUID, id ContextID, va VAddr, frame uint64, perm Perm) error {
 	return m.MapTaggedOn(initiator, id, va, frame, perm, nil)
-}
-
-// MapTagged is Map with an owner tag stored in the PTE, initiating from
-// the boot CPU.
-func (m *MMU) MapTagged(id ContextID, va VAddr, frame uint64, perm Perm, tag any) error {
-	return m.MapTaggedOn(BootCPU, id, va, frame, perm, tag)
 }
 
 // MapTaggedOn is MapOn with an owner tag stored in the PTE.
@@ -489,16 +471,10 @@ func (m *MMU) MapTaggedOn(initiator CPUID, id ContextID, va VAddr, frame uint64,
 	return nil
 }
 
-// Unmap removes the translation for the page containing va, initiating
-// any shootdown from the boot CPU (the single-CPU compatibility form;
-// see UnmapOn).
-func (m *MMU) Unmap(id ContextID, va VAddr) error {
-	return m.UnmapOn(BootCPU, id, va)
-}
-
-// UnmapOn is Unmap initiated from the given CPU: that CPU invalidates
-// its own stale TLB entry for free, and only other CPUs holding the
-// entry are charged a shootdown IPI.
+// UnmapOn removes the translation for the page containing va,
+// initiated from the given CPU: that CPU invalidates its own stale TLB
+// entry for free, and only other CPUs holding the entry are charged a
+// shootdown IPI.
 func (m *MMU) UnmapOn(initiator CPUID, id ContextID, va VAddr) error {
 	m.cpu(initiator) // validate the initiator up front
 	pt, ok := m.pageTableOf(id)
@@ -515,16 +491,10 @@ func (m *MMU) UnmapOn(initiator CPUID, id ContextID, va VAddr) error {
 	return nil
 }
 
-// Protect changes the permissions of an existing mapping, initiating
-// any shootdown from the boot CPU (the single-CPU compatibility form;
-// see ProtectOn).
-func (m *MMU) Protect(id ContextID, va VAddr, perm Perm) error {
-	return m.ProtectOn(BootCPU, id, va, perm)
-}
-
-// ProtectOn is Protect initiated from the given CPU: that CPU
-// invalidates its own stale TLB entry for free, and only other CPUs
-// holding the entry are charged a shootdown IPI.
+// ProtectOn changes the permissions of an existing mapping, initiated
+// from the given CPU: that CPU invalidates its own stale TLB entry for
+// free, and only other CPUs holding the entry are charged a shootdown
+// IPI.
 func (m *MMU) ProtectOn(initiator CPUID, id ContextID, va VAddr, perm Perm) error {
 	m.cpu(initiator) // validate the initiator up front
 	pt, ok := m.pageTableOf(id)
@@ -556,8 +526,7 @@ func (m *MMU) ProtectOn(initiator CPUID, id ContextID, va VAddr, perm Perm) erro
 // OpTLBShootdown is charged once per such CPU, and the receiving CPU's
 // Shootdowns counter records it. CPUs that never cached the page cost
 // nothing — the charge partitions exactly across the CPUs that did.
-// The *On entry points thread the true initiator through; the
-// non-suffixed compatibility forms initiate from the boot CPU. On a
+// Every entry point threads the true initiator through. On a
 // uniprocessor the remote set is always empty, so single-CPU cost
 // baselines are unchanged.
 func (m *MMU) invalidateAll(initiator CPUID, id ContextID, vpn uint64) {
@@ -598,11 +567,6 @@ func (m *MMU) Lookup(id ContextID, va VAddr) (PTE, bool) {
 	}
 	pte, ok := pt.entries[va.VPN()]
 	return pte, ok && pte.Valid
-}
-
-// Translate resolves va in context id on the boot CPU.
-func (m *MMU) Translate(id ContextID, va VAddr, access Access) (PAddr, error) {
-	return m.TranslateOn(BootCPU, id, va, access)
 }
 
 // TranslateOn resolves va in context id for the given access kind on
@@ -671,19 +635,7 @@ func (m *MMU) FlushTLBOn(cpu CPUID) {
 	}
 }
 
-// TLBStats reports hits and misses summed over every CPU (the
-// single-CPU view the original experiments read).
-func (m *MMU) TLBStats() (hits, misses uint64) {
-	for i := range m.cpus {
-		s := m.TLBStatsOn(CPUID(i))
-		hits += s.Hits
-		misses += s.Misses
-	}
-	return hits, misses
-}
-
-// CPUTLBStats is a snapshot of one CPU's TLB counters. (The aggregate
-// TLBStats method predates it and keeps its two-value shape.)
+// CPUTLBStats is a snapshot of one CPU's TLB counters.
 type CPUTLBStats struct {
 	Hits    uint64
 	Misses  uint64

@@ -54,7 +54,7 @@ func TestKernelContextExists(t *testing.T) {
 	if !m.HasContext(KernelContext) {
 		t.Fatal("kernel context missing after New")
 	}
-	if m.Current() != KernelContext {
+	if m.CurrentOn(BootCPU) != KernelContext {
 		t.Fatal("initial current context is not the kernel context")
 	}
 }
@@ -70,16 +70,16 @@ func TestNewContextDistinctIDs(t *testing.T) {
 func TestMapTranslateRoundTrip(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x4000, 7, PermRead|PermWrite); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x4000, 7, PermRead|PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	pa, err := m.Translate(ctx, 0x4123, AccessRead)
+	pa, err := m.TranslateOn(BootCPU, ctx, 0x4123, AccessRead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := PAddr(7<<PageShift | 0x123)
 	if pa != want {
-		t.Fatalf("Translate = %#x, want %#x", pa, want)
+		t.Fatalf("TranslateOn = %#x, want %#x", pa, want)
 	}
 }
 
@@ -87,16 +87,16 @@ func TestTranslateFaults(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
 
-	_, err := m.Translate(ctx, 0x9000, AccessRead)
+	_, err := m.TranslateOn(BootCPU, ctx, 0x9000, AccessRead)
 	var f *Fault
 	if !errors.As(err, &f) || f.Kind != FaultNoMapping {
 		t.Fatalf("unmapped page: err = %v, want FaultNoMapping", err)
 	}
 
-	if err := m.Map(ctx, 0x9000, 1, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x9000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Translate(ctx, 0x9000, AccessWrite)
+	_, err = m.TranslateOn(BootCPU, ctx, 0x9000, AccessWrite)
 	if !errors.As(err, &f) || f.Kind != FaultProtection {
 		t.Fatalf("write to read-only: err = %v, want FaultProtection", err)
 	}
@@ -104,7 +104,7 @@ func TestTranslateFaults(t *testing.T) {
 		t.Fatalf("fault Present = %v, want r--", f.Present)
 	}
 
-	_, err = m.Translate(ContextID(999), 0x9000, AccessRead)
+	_, err = m.TranslateOn(BootCPU, ContextID(999), 0x9000, AccessRead)
 	if !errors.As(err, &f) || f.Kind != FaultBadContext {
 		t.Fatalf("bad context: err = %v, want FaultBadContext", err)
 	}
@@ -119,13 +119,13 @@ func TestProtectionFaultFromTLBHit(t *testing.T) {
 	// (copy-on-write, proxies) reliable.
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x2000, 3, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x2000, 3, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x2000, AccessRead); err != nil {
+	if _, err := m.TranslateOn(BootCPU, ctx, 0x2000, AccessRead); err != nil {
 		t.Fatal(err) // loads the TLB
 	}
-	_, err := m.Translate(ctx, 0x2000, AccessWrite)
+	_, err := m.TranslateOn(BootCPU, ctx, 0x2000, AccessWrite)
 	var f *Fault
 	if !errors.As(err, &f) || f.Kind != FaultProtection {
 		t.Fatalf("err = %v, want FaultProtection on TLB hit", err)
@@ -135,16 +135,16 @@ func TestProtectionFaultFromTLBHit(t *testing.T) {
 func TestExecPermission(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x1000, 2, PermRead|PermExec); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x1000, 2, PermRead|PermExec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x1000, AccessExec); err != nil {
+	if _, err := m.TranslateOn(BootCPU, ctx, 0x1000, AccessExec); err != nil {
 		t.Fatalf("exec on r-x page: %v", err)
 	}
-	if err := m.Protect(ctx, 0x1000, PermRead); err != nil {
+	if err := m.ProtectOn(BootCPU, ctx, 0x1000, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x1000, AccessExec); err == nil {
+	if _, err := m.TranslateOn(BootCPU, ctx, 0x1000, AccessExec); err == nil {
 		t.Fatal("exec allowed after Protect removed PermExec")
 	}
 }
@@ -152,16 +152,16 @@ func TestExecPermission(t *testing.T) {
 func TestUnmap(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x3000, 4, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x3000, 4, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x3000, AccessRead); err != nil {
+	if _, err := m.TranslateOn(BootCPU, ctx, 0x3000, AccessRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Unmap(ctx, 0x3000); err != nil {
+	if err := m.UnmapOn(BootCPU, ctx, 0x3000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x3000, AccessRead); err == nil {
+	if _, err := m.TranslateOn(BootCPU, ctx, 0x3000, AccessRead); err == nil {
 		t.Fatal("translate succeeded after Unmap (stale TLB entry?)")
 	}
 }
@@ -169,16 +169,16 @@ func TestUnmap(t *testing.T) {
 func TestProtectInvalidatesTLB(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x5000, 5, PermRead|PermWrite); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x5000, 5, PermRead|PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x5000, AccessWrite); err != nil {
+	if _, err := m.TranslateOn(BootCPU, ctx, 0x5000, AccessWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Protect(ctx, 0x5000, PermRead); err != nil {
+	if err := m.ProtectOn(BootCPU, ctx, 0x5000, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x5000, AccessWrite); err == nil {
+	if _, err := m.TranslateOn(BootCPU, ctx, 0x5000, AccessWrite); err == nil {
 		t.Fatal("write allowed after Protect downgraded the page")
 	}
 }
@@ -186,10 +186,10 @@ func TestProtectInvalidatesTLB(t *testing.T) {
 func TestProtectUnmappedPage(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Protect(ctx, 0x7000, PermRead); err == nil {
+	if err := m.ProtectOn(BootCPU, ctx, 0x7000, PermRead); err == nil {
 		t.Fatal("Protect on unmapped page succeeded")
 	}
-	if err := m.Protect(ContextID(999), 0x7000, PermRead); !errors.Is(err, ErrNoContext) {
+	if err := m.ProtectOn(BootCPU, ContextID(999), 0x7000, PermRead); !errors.Is(err, ErrNoContext) {
 		t.Fatalf("Protect in bad context: %v", err)
 	}
 }
@@ -198,23 +198,23 @@ func TestSwitchChargesAndValidates(t *testing.T) {
 	m, meter := newTestMMU(Config{})
 	ctx := m.NewContext()
 	before := meter.Count(clock.OpCtxSwitch)
-	if err := m.Switch(ctx); err != nil {
+	if err := m.SwitchOn(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
 	if meter.Count(clock.OpCtxSwitch) != before+1 {
 		t.Fatal("Switch did not charge a context switch")
 	}
-	if m.Current() != ctx {
+	if m.CurrentOn(BootCPU) != ctx {
 		t.Fatal("Current() wrong after Switch")
 	}
 	// Switching to the same context is free.
-	if err := m.Switch(ctx); err != nil {
+	if err := m.SwitchOn(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
 	if meter.Count(clock.OpCtxSwitch) != before+1 {
 		t.Fatal("self-switch charged a context switch")
 	}
-	if err := m.Switch(ContextID(404)); !errors.Is(err, ErrNoContext) {
+	if err := m.SwitchOn(BootCPU, ContextID(404)); !errors.Is(err, ErrNoContext) {
 		t.Fatalf("Switch to missing context: %v", err)
 	}
 }
@@ -222,20 +222,20 @@ func TestSwitchChargesAndValidates(t *testing.T) {
 func TestFlushOnSwitchConfig(t *testing.T) {
 	m, meter := newTestMMU(Config{FlushOnSwitch: true})
 	ctx := m.NewContext()
-	if err := m.Map(KernelContext, 0x1000, 1, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, KernelContext, 0x1000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(KernelContext, 0x1000, AccessRead); err != nil {
+	if _, err := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); err != nil {
 		t.Fatal(err)
 	}
 	missesBefore := meter.Count(clock.OpTLBMiss)
-	if err := m.Switch(ctx); err != nil {
+	if err := m.SwitchOn(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Switch(KernelContext); err != nil {
+	if err := m.SwitchOn(BootCPU, KernelContext); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(KernelContext, 0x1000, AccessRead); err != nil {
+	if _, err := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); err != nil {
 		t.Fatal(err)
 	}
 	if meter.Count(clock.OpTLBMiss) != missesBefore+1 {
@@ -246,20 +246,20 @@ func TestFlushOnSwitchConfig(t *testing.T) {
 func TestASIDTaggedTLBSurvivesSwitch(t *testing.T) {
 	m, meter := newTestMMU(Config{}) // default: ASID-tagged, no flush
 	ctx := m.NewContext()
-	if err := m.Map(KernelContext, 0x1000, 1, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, KernelContext, 0x1000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(KernelContext, 0x1000, AccessRead); err != nil {
+	if _, err := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); err != nil {
 		t.Fatal(err)
 	}
 	misses := meter.Count(clock.OpTLBMiss)
-	if err := m.Switch(ctx); err != nil {
+	if err := m.SwitchOn(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Switch(KernelContext); err != nil {
+	if err := m.SwitchOn(BootCPU, KernelContext); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(KernelContext, 0x1000, AccessRead); err != nil {
+	if _, err := m.TranslateOn(BootCPU, KernelContext, 0x1000, AccessRead); err != nil {
 		t.Fatal(err)
 	}
 	if meter.Count(clock.OpTLBMiss) != misses {
@@ -270,23 +270,22 @@ func TestASIDTaggedTLBSurvivesSwitch(t *testing.T) {
 func TestTLBChargesMissOnlyOnce(t *testing.T) {
 	m, meter := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x8000, 8, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x8000, 8, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x8000, AccessRead); err != nil {
+	if _, err := m.TranslateOn(BootCPU, ctx, 0x8000, AccessRead); err != nil {
 		t.Fatal(err)
 	}
 	misses := meter.Count(clock.OpTLBMiss)
 	for i := 0; i < 10; i++ {
-		if _, err := m.Translate(ctx, 0x8000, AccessRead); err != nil {
+		if _, err := m.TranslateOn(BootCPU, ctx, 0x8000, AccessRead); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if meter.Count(clock.OpTLBMiss) != misses {
 		t.Fatal("hot page charged additional TLB misses")
 	}
-	hits, _ := m.TLBStats()
-	if hits < 10 {
+	if hits := m.TLBStatsOn(BootCPU).Hits; hits < 10 {
 		t.Fatalf("TLB hits = %d, want >= 10", hits)
 	}
 }
@@ -296,17 +295,17 @@ func TestTLBEviction(t *testing.T) {
 	ctx := m.NewContext()
 	for i := 0; i < 8; i++ {
 		va := VAddr(uint64(i) << PageShift)
-		if err := m.Map(ctx, va, uint64(i), PermRead); err != nil {
+		if err := m.MapOn(BootCPU, ctx, va, uint64(i), PermRead); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Translate(ctx, va, AccessRead); err != nil {
+		if _, err := m.TranslateOn(BootCPU, ctx, va, AccessRead); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// All translations must still succeed after evictions.
 	for i := 0; i < 8; i++ {
 		va := VAddr(uint64(i) << PageShift)
-		pa, err := m.Translate(ctx, va, AccessRead)
+		pa, err := m.TranslateOn(BootCPU, ctx, va, AccessRead)
 		if err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
@@ -319,25 +318,25 @@ func TestTLBEviction(t *testing.T) {
 func TestDestroyContext(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Map(ctx, 0x1000, 1, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, 0x1000, 1, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Translate(ctx, 0x1000, AccessRead); err != nil {
+	if _, err := m.TranslateOn(BootCPU, ctx, 0x1000, AccessRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DestroyContext(ctx); err != nil {
+	if err := m.DestroyContextFrom(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
 	if m.HasContext(ctx) {
 		t.Fatal("context alive after destroy")
 	}
-	if _, err := m.Translate(ctx, 0x1000, AccessRead); err == nil {
+	if _, err := m.TranslateOn(BootCPU, ctx, 0x1000, AccessRead); err == nil {
 		t.Fatal("translate in destroyed context succeeded")
 	}
-	if err := m.DestroyContext(KernelContext); err == nil {
+	if err := m.DestroyContextFrom(BootCPU, KernelContext); err == nil {
 		t.Fatal("destroyed the kernel context")
 	}
-	if err := m.DestroyContext(ctx); !errors.Is(err, ErrNoContext) {
+	if err := m.DestroyContextFrom(BootCPU, ctx); !errors.Is(err, ErrNoContext) {
 		t.Fatalf("double destroy: %v", err)
 	}
 }
@@ -345,10 +344,10 @@ func TestDestroyContext(t *testing.T) {
 func TestDestroyCurrentContextRefused(t *testing.T) {
 	m, _ := newTestMMU(Config{})
 	ctx := m.NewContext()
-	if err := m.Switch(ctx); err != nil {
+	if err := m.SwitchOn(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DestroyContext(ctx); err == nil {
+	if err := m.DestroyContextFrom(BootCPU, ctx); err == nil {
 		t.Fatal("destroyed the active context")
 	}
 }
@@ -359,7 +358,7 @@ func TestLookupAndMappings(t *testing.T) {
 	if _, ok := m.Lookup(ctx, 0x1000); ok {
 		t.Fatal("Lookup found a mapping in empty context")
 	}
-	if err := m.MapTagged(ctx, 0x1000, 9, PermRead, "tag"); err != nil {
+	if err := m.MapTaggedOn(BootCPU, ctx, 0x1000, 9, PermRead, "tag"); err != nil {
 		t.Fatal(err)
 	}
 	pte, ok := m.Lookup(ctx, 0x1000)
@@ -381,10 +380,10 @@ func TestTranslatePreservesOffsetProperty(t *testing.T) {
 	ctx := m.NewContext()
 	f := func(vpn uint16, off uint16, frame uint16) bool {
 		va := VAddr(uint64(vpn)<<PageShift | uint64(off)%PageSize)
-		if err := m.Map(ctx, va, uint64(frame), PermRead); err != nil {
+		if err := m.MapOn(BootCPU, ctx, va, uint64(frame), PermRead); err != nil {
 			return false
 		}
-		pa, err := m.Translate(ctx, va, AccessRead)
+		pa, err := m.TranslateOn(BootCPU, ctx, va, AccessRead)
 		if err != nil {
 			return false
 		}

@@ -28,7 +28,7 @@ func TestShootdownChargePartitionsExactly(t *testing.T) {
 	m := New(meter, Config{CPUs: 4})
 	ctx := m.NewContext()
 	va := VAddr(0x4000)
-	if err := m.Map(ctx, va, 7, PermRead|PermWrite); err != nil {
+	if err := m.MapOn(BootCPU, ctx, va, 7, PermRead|PermWrite); err != nil {
 		t.Fatal(err)
 	}
 
@@ -37,7 +37,7 @@ func TestShootdownChargePartitionsExactly(t *testing.T) {
 
 	before := meter.Count(clock.OpTLBShootdown)
 	cyclesBefore := meter.Clock.Now()
-	if err := m.Unmap(ctx, va); err != nil {
+	if err := m.UnmapOn(BootCPU, ctx, va); err != nil {
 		t.Fatal(err)
 	}
 	if got := meter.Count(clock.OpTLBShootdown) - before; got != 2 {
@@ -62,12 +62,12 @@ func TestShootdownLocalOnlyIsFree(t *testing.T) {
 	m := New(meter, Config{CPUs: 4})
 	ctx := m.NewContext()
 	va := VAddr(0x4000)
-	if err := m.Map(ctx, va, 7, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, va, 7, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	fillTLB(t, m, ctx, va, BootCPU)
 	before := meter.Count(clock.OpTLBShootdown)
-	if err := m.Unmap(ctx, va); err != nil {
+	if err := m.UnmapOn(BootCPU, ctx, va); err != nil {
 		t.Fatal(err)
 	}
 	if got := meter.Count(clock.OpTLBShootdown) - before; got != 0 {
@@ -83,13 +83,13 @@ func TestShootdownOnProtectAndRemap(t *testing.T) {
 	m := New(meter, Config{CPUs: 2})
 	ctx := m.NewContext()
 	va := VAddr(0x8000)
-	if err := m.Map(ctx, va, 3, PermRead|PermWrite); err != nil {
+	if err := m.MapOn(BootCPU, ctx, va, 3, PermRead|PermWrite); err != nil {
 		t.Fatal(err)
 	}
 
 	fillTLB(t, m, ctx, va, 1)
 	before := meter.Count(clock.OpTLBShootdown)
-	if err := m.Protect(ctx, va, PermRead); err != nil {
+	if err := m.ProtectOn(BootCPU, ctx, va, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	if got := meter.Count(clock.OpTLBShootdown) - before; got != 1 {
@@ -98,7 +98,7 @@ func TestShootdownOnProtectAndRemap(t *testing.T) {
 
 	fillTLB(t, m, ctx, va, 1)
 	before = meter.Count(clock.OpTLBShootdown)
-	if err := m.Map(ctx, va, 9, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, va, 9, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	if got := meter.Count(clock.OpTLBShootdown) - before; got != 1 {
@@ -143,7 +143,7 @@ func TestShootdownInitiatorPerspective(t *testing.T) {
 	}
 	fillTLB(t, m, ctx, va, 1)
 	before = meter.Count(clock.OpTLBShootdown)
-	if err := m.Unmap(ctx, va); err != nil {
+	if err := m.UnmapOn(BootCPU, ctx, va); err != nil {
 		t.Fatal(err)
 	}
 	if got := meter.Count(clock.OpTLBShootdown) - before; got != 1 {
@@ -160,7 +160,7 @@ func TestProtectOnInitiator(t *testing.T) {
 	m := New(meter, Config{CPUs: 2})
 	ctx := m.NewContext()
 	va := VAddr(0x8000)
-	if err := m.Map(ctx, va, 3, PermRead|PermWrite); err != nil {
+	if err := m.MapOn(BootCPU, ctx, va, 3, PermRead|PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	fillTLB(t, m, ctx, va, 1)
@@ -184,10 +184,10 @@ func TestDestroyContextChargesTeardownShootdowns(t *testing.T) {
 	m := New(meter, Config{CPUs: 4})
 	ctx := m.NewContext()
 	va1, va2 := VAddr(0x4000), VAddr(0x9000)
-	if err := m.Map(ctx, va1, 7, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, va1, 7, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Map(ctx, va2, 8, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, va2, 8, PermRead); err != nil {
 		t.Fatal(err)
 	}
 
@@ -199,15 +199,15 @@ func TestDestroyContextChargesTeardownShootdowns(t *testing.T) {
 
 	before := meter.Count(clock.OpTLBShootdown)
 	cyclesBefore := meter.Clock.Now()
-	if err := m.DestroyContext(ctx); err != nil {
+	if err := m.DestroyContextFrom(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := meter.Count(clock.OpTLBShootdown) - before; got != 2 {
-		t.Fatalf("DestroyContext charged %d shootdowns, want 2 (CPUs 1 and 2 held entries)", got)
+		t.Fatalf("DestroyContextFrom charged %d shootdowns, want 2 (CPUs 1 and 2 held entries)", got)
 	}
 	wantCycles := 2 * meter.Model.Cost(clock.OpTLBShootdown)
 	if got := meter.Clock.Now() - cyclesBefore; got != wantCycles {
-		t.Fatalf("DestroyContext advanced the clock by %d cycles, want %d", got, wantCycles)
+		t.Fatalf("DestroyContextFrom advanced the clock by %d cycles, want %d", got, wantCycles)
 	}
 	for cpu, want := range map[CPUID]uint64{0: 0, 1: 1, 2: 1, 3: 0} {
 		if got := m.TLBStatsOn(cpu).Shootdowns; got != want {
@@ -223,7 +223,7 @@ func TestDestroyContextFromInitiator(t *testing.T) {
 	m := New(meter, Config{CPUs: 2})
 	ctx := m.NewContext()
 	va := VAddr(0x4000)
-	if err := m.Map(ctx, va, 7, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, va, 7, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	// Only CPU 1 caches the page; destroying FROM CPU 1 is free.
@@ -245,15 +245,15 @@ func TestDestroyContextUniprocessorFree(t *testing.T) {
 	m := New(meter, Config{CPUs: 1})
 	ctx := m.NewContext()
 	va := VAddr(0x4000)
-	if err := m.Map(ctx, va, 7, PermRead); err != nil {
+	if err := m.MapOn(BootCPU, ctx, va, 7, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	fillTLB(t, m, ctx, va, BootCPU)
 	cyclesBefore := meter.Clock.Now()
-	if err := m.DestroyContext(ctx); err != nil {
+	if err := m.DestroyContextFrom(BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := meter.Clock.Now() - cyclesBefore; got != 0 {
-		t.Fatalf("uniprocessor DestroyContext advanced the clock by %d cycles, want 0", got)
+		t.Fatalf("uniprocessor DestroyContextFrom advanced the clock by %d cycles, want 0", got)
 	}
 }

@@ -135,10 +135,12 @@ func WriteChromeTrace(w io.Writer, perCPU [][]Event) error {
 }
 
 // WriteTimeline renders a snapshot's events as a per-CPU text
-// timeline, ordered by virtual time within each CPU.
-func WriteTimeline(w io.Writer, perCPU [][]Event) error {
+// timeline, ordered by virtual time within each CPU. dropped holds one
+// entry per CPU: how many older events that CPU's ring overwrote
+// (Recorder.Dropped).
+func WriteTimeline(w io.Writer, perCPU [][]Event, dropped []uint64) error {
 	for cpu, evs := range perCPU {
-		fmt.Fprintf(w, "== cpu %d (%d events) ==\n", cpu, len(evs))
+		fmt.Fprintf(w, "== cpu %d (%d events, %d overwritten) ==\n", cpu, len(evs), dropped[cpu])
 		for _, e := range evs {
 			fmt.Fprintf(w, "%12d  %-16s domain=%-4d a=%-6d b=%d\n",
 				e.Cycles, e.Kind.String(), e.Domain, e.A, e.B)

@@ -23,10 +23,10 @@
 // decode pays no switch and no copy.
 //
 // The invocation plane is fully concurrent: every crossing carries its
-// own pooled call frame, keyed by a token threaded through the trap
-// frame, so any number of goroutines may call through one proxy — even
-// the same method of the same interface — without serializing on
-// anything wider than the MMU's own short critical sections.
+// own pooled call frame as the trap frame's tag, so any number of
+// goroutines may call through one proxy — even the same method of the
+// same interface — without serializing on anything wider than the
+// MMU's own short critical sections.
 package proxy
 
 import (
@@ -87,75 +87,11 @@ func putFrame(fr *callFrame) {
 // through the dispatching proxy.
 var errForeignEntry = errors.New("proxy: batch entry not resolved through this proxy")
 
-// frameShards is the number of lock shards in a frame table. Power of
-// two so the token-to-shard map is a mask.
-const frameShards = 32
-
-// frameTable maps live call tokens to their frames. It is sharded by
-// token so concurrent calls — the steady state of the invocation
-// plane — rarely contend on the same lock. Tokens start at 1; token 0
-// in a trap frame means "not a proxy call".
-type frameTable struct {
-	next   atomic.Uint64
-	shards [frameShards]frameShard
-}
-
-type frameShard struct {
-	mu sync.Mutex
-	m  map[uint64]*callFrame
-	// Pad the shard to a 64-byte stride so adjacent shards' locks do
-	// not share a cache line.
-	_ [48]byte
-}
-
-func (t *frameTable) shard(token uint64) *frameShard {
-	return &t.shards[token&(frameShards-1)]
-}
-
-// put registers fr under a fresh token and returns the token.
-//
-//paramecium:hotpath
-func (t *frameTable) put(fr *callFrame) uint64 {
-	token := t.next.Add(1)
-	s := t.shard(token)
-	s.mu.Lock()
-	if s.m == nil {
-		//paralint:ignore hotpathalloc one-time lazy shard initialization, amortized to zero per call
-		s.m = make(map[uint64]*callFrame)
-	}
-	s.m[token] = fr
-	s.mu.Unlock()
-	return token
-}
-
-// get returns the frame registered under token, or nil.
-func (t *frameTable) get(token uint64) *callFrame {
-	if token == 0 {
-		return nil
-	}
-	s := t.shard(token)
-	s.mu.Lock()
-	fr := s.m[token]
-	s.mu.Unlock()
-	return fr
-}
-
-// drop unregisters token.
-func (t *frameTable) drop(token uint64) {
-	s := t.shard(token)
-	s.mu.Lock()
-	delete(s.m, token)
-	s.mu.Unlock()
-}
-
 // Factory creates proxies, managing the entry-page address space of
-// each client context. All proxies of one factory share its frame
-// table; the per-page fault handler uses the trap frame's token to
-// find the calling goroutine's own frame.
+// each client context.
 type Factory struct {
-	svc    *mem.Service
-	base   mmu.VAddr
-	frames frameTable
+	svc  *mem.Service
+	base mmu.VAddr
 
 	// grants, when set, validates shared-memory grant capabilities
 	// passed as call arguments; see SetGrantRegistry. Written once at
@@ -224,7 +160,7 @@ func (f *Factory) CloseTarget(ctx mmu.ContextID) {
 
 // OnCloseTarget registers a hook to run inside every future
 // CloseTarget, after the target context is condemned. The kernel wires
-// the shared-memory registry's CondemnDomain here, so destroying a
+// the shared-memory registry's CondemnDomainFrom here, so destroying a
 // domain fails pending segment attaches through the same sweep that
 // condemns its proxies.
 func (f *Factory) OnCloseTarget(h func(mmu.ContextID)) {
@@ -436,12 +372,12 @@ func (p *Proxy) call(h obj.MethodHandle, out, args []any) ([]any, error) {
 	return res, err
 }
 
-// cross performs one crossing for the frame's group: it registers the
-// frame under a fresh token, then references the first entry's slot,
-// taking the page fault that drives the kernel's call handler. The
-// token rides in the trap frame, so the handler finds this group's
-// frame no matter how many calls are in flight on the same page; the
-// remaining entries cross without faulting again.
+// cross performs one crossing for the frame's group: it references the
+// first entry's slot, taking the page fault that drives the kernel's
+// call handler. The call frame itself rides in the trap frame's tag, so
+// the handler finds this group's frame no matter how many calls are in
+// flight on the same page; the remaining entries cross without
+// faulting again.
 //
 //paramecium:hotpath
 func (p *Proxy) cross(fr *callFrame) error {
@@ -456,11 +392,6 @@ func (p *Proxy) cross(fr *callFrame) error {
 	if !ok {
 		return failAll(calls, errForeignEntry)
 	}
-	token := p.factory.frames.put(fr)
-	// Deferred so a panicking target method cannot leak the table
-	// entry: by the time the defer runs, nothing references the frame.
-	defer p.factory.frames.drop(token)
-
 	// Touch the entry slot: unmapped, so this page-faults into the
 	// kernel, whose per-page handler performs the actual invocation.
 	// The crossing claims a virtual CPU for its duration: its
@@ -469,7 +400,7 @@ func (p *Proxy) cross(fr *callFrame) error {
 	// CPUs keep disjoint TLB state — per-CPU locality is measurable,
 	// not just switch counts.
 	lease := p.factory.svc.Machine().AcquireCPU()
-	_ = lease.CPU().TouchTagged(p.callerCtx, key.slotVA, mmu.AccessExec, token)
+	_ = lease.CPU().TouchTagged(p.callerCtx, key.slotVA, mmu.AccessExec, fr)
 	lease.Release()
 
 	if !fr.done {
@@ -546,8 +477,8 @@ func (p *Proxy) Close() error {
 }
 
 // entryIface is one interface's entry page. It holds no per-call
-// state: every invocation's frame lives in the factory's frame table
-// for exactly the duration of its fault, so concurrent calls through
+// state: every invocation's frame travels in its own trap frame for
+// exactly the duration of its fault, so concurrent calls through
 // the same interface — or the same method — never serialize here.
 type entryIface struct {
 	proxy  *Proxy
@@ -619,7 +550,7 @@ func (e *entryIface) Resolve(method string) (obj.MethodHandle, error) {
 // failing entry records its error and the rest still run; only a dead
 // target context fails the remaining entries as a whole. The handler
 // is reentrant: concurrent faults on the same entry page dispatch
-// independently, each finding its own frame by the trap frame's token.
+// independently, each finding its own frame in the trap frame's tag.
 //
 //paramecium:hotpath
 func (p *Proxy) handleFault(f *hw.TrapFrame) bool {
@@ -630,10 +561,11 @@ func (p *Proxy) handleFault(f *hw.TrapFrame) bool {
 	if p.closed.Load() {
 		return false
 	}
-	fr := p.factory.frames.get(f.Token)
+	fr, _ := f.Tag.(*callFrame)
 	if fr == nil {
-		// A stray touch of the entry page (not a proxy call): leave
-		// the fault unresolved.
+		// A stray touch of the entry page (untagged, or tagged with
+		// something other than a call frame): not a proxy call, so
+		// leave the fault unresolved.
 		return false
 	}
 	machine := p.factory.svc.Machine()

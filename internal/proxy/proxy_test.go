@@ -7,6 +7,7 @@ import (
 	"paramecium/internal/clock"
 	"paramecium/internal/hw"
 	"paramecium/internal/mem"
+	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
 )
 
@@ -228,7 +229,7 @@ func TestProxySameDomainSkipsSwitch(t *testing.T) {
 	// fault but not the context switches.
 	f, svc, m := setup()
 	ctx := svc.NewDomain()
-	if err := m.MMU.Switch(ctx); err != nil {
+	if err := m.MMU.SwitchOn(mmu.BootCPU, ctx); err != nil {
 		t.Fatal(err)
 	}
 	p, err := f.New(ctx, ctx, newCalc(m.Meter))
@@ -328,5 +329,39 @@ func TestCrossDomainVsLocalCostGap(t *testing.T) {
 
 	if remoteCycles < localCycles*10 {
 		t.Fatalf("cross-domain (%d) not clearly costlier than local (%d)", remoteCycles, localCycles)
+	}
+}
+
+// TestStrayEntryTouchIsUnresolved: a touch of an entry slot whose trap
+// frame carries no call frame — untagged, or tagged with some other
+// value — is not a proxy call. The fault stays unresolved, no target
+// method runs and no crossing is charged, and the proxy keeps serving
+// real calls afterwards.
+func TestStrayEntryTouchIsUnresolved(t *testing.T) {
+	f, svc, m := setup()
+	clientCtx := svc.NewDomain()
+	p, err := f.New(clientCtx, svc.NewDomain(), newCalc(m.Meter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, _ := calcDecl.Method("add")
+	slot := p.ifaces["test.calc.v1"].pageVA + mmu.VAddr(md.Slot()*8)
+	cpu := m.CPUByID(mmu.BootCPU)
+	for _, tag := range []any{nil, uint64(7), new(int)} {
+		m.Meter.ResetCounts()
+		if err := cpu.TouchTagged(clientCtx, slot, mmu.AccessExec, tag); err == nil {
+			t.Fatalf("stray touch tagged %v resolved", tag)
+		}
+		if got := m.Meter.Count(clock.OpCtxSwitch); got != 0 {
+			t.Fatalf("stray touch tagged %v charged %d context switches", tag, got)
+		}
+		if got := m.Meter.Count(clock.OpCopyWord); got != 0 {
+			t.Fatalf("stray touch tagged %v charged %d word copies", tag, got)
+		}
+	}
+	iv, _ := p.Iface("test.calc.v1")
+	res, err := iv.Invoke("total")
+	if err != nil || res[0].(int) != 0 {
+		t.Fatalf("total after stray touches = %v, %v; want 0 (add never ran)", res, err)
 	}
 }

@@ -74,7 +74,7 @@
 // The revoked grant tombstone of the segment plane is the ring's
 // hangup signal. If the producer's domain is destroyed (or calls
 // Hangup), the grant is revoked and every consumer access fails; if
-// the consumer's domain is destroyed, the CondemnDomain sweep revokes
+// the consumer's domain is destroyed, the CondemnDomainFrom sweep revokes
 // the grant and the producer finds out at the next Push. Both sides
 // surface this as ErrHangup — distinct from shm.ErrNoGrant, which
 // means a capability that never existed. Unconsumed records are lost

@@ -84,9 +84,10 @@ type Ring struct {
 // New creates and formats a ring of slots records of up to slotBytes
 // payload each, owned by the producer context and granted read-write
 // to the consumer context. Teardown of either domain through the
-// registry's CondemnDomain sweep hangs the ring up: the sweep
+// registry's CondemnDomainFrom sweep hangs the ring up: the sweep
 // destroys segments the producer owns and revokes grants addressed to
-// the consumer.
+// the consumer. A failed setup tears the segment down, initiating
+// from the boot CPU.
 func New(meter *clock.Meter, reg *shm.Registry, producer, consumer mmu.ContextID, slots, slotBytes int) (*Ring, error) {
 	if slots < 1 || slotBytes < 0 {
 		return nil, fmt.Errorf("%w: %d slots of %d bytes", ErrGeometry, slots, slotBytes)
@@ -100,12 +101,12 @@ func New(meter *clock.Meter, reg *shm.Registry, producer, consumer mmu.ContextID
 	}
 	grant, err := seg.Grant(consumer, shm.RW)
 	if err != nil {
-		_ = seg.Destroy()
+		_ = seg.DestroyFrom(mmu.BootCPU)
 		return nil, err
 	}
 	att, err := reg.Attach(grant.Ref())
 	if err != nil {
-		_ = seg.Destroy()
+		_ = seg.DestroyFrom(mmu.BootCPU)
 		return nil, err
 	}
 	r := &Ring{
@@ -127,7 +128,7 @@ func New(meter *clock.Meter, reg *shm.Registry, producer, consumer mmu.ContextID
 	}{{offMagic, magic}, {offSlots, uint64(slots)}, {offSlotSize, uint64(slotBytes)}} {
 		binary.LittleEndian.PutUint64(w[:], init.val)
 		if err := seg.Store(init.off, w[:]); err != nil {
-			_ = seg.Destroy()
+			_ = seg.DestroyFrom(mmu.BootCPU)
 			return nil, err
 		}
 	}
@@ -163,10 +164,11 @@ func (r *Ring) GrantRef() shm.GrantRef { return r.grant.Ref() }
 // domain) in-place payload access around ProduceOffset/PushInPlace.
 func (r *Ring) Segment() *shm.Segment { return r.seg }
 
-// Close destroys the backing segment. Both endpoints fail afterwards;
-// the consumer side observes ErrHangup. Domain teardown does this
-// implicitly for rings the dying domain produces.
-func (r *Ring) Close() error { return r.seg.Destroy() }
+// Close destroys the backing segment, initiating from the boot CPU.
+// Both endpoints fail afterwards; the consumer side observes
+// ErrHangup. Domain teardown does this implicitly for rings the dying
+// domain produces.
+func (r *Ring) Close() error { return r.seg.DestroyFrom(mmu.BootCPU) }
 
 func (r *Ring) descOff(count uint64) int {
 	return descBase + int(count%uint64(r.slots))*8
@@ -333,7 +335,7 @@ func (p *Producer) Hangup() error {
 	if probe.Enabled() {
 		p.r.meter.Emit(int(mmu.BootCPU), probe.KindHangup, p.r.producerCtx, uint64(p.r.seg.ID()), 0)
 	}
-	return p.r.grant.Revoke()
+	return p.r.grant.RevokeFrom(mmu.BootCPU)
 }
 
 // Consumer is the draining endpoint: it owns the head word and reads

@@ -11,6 +11,7 @@ import (
 	"paramecium/internal/clock"
 	"paramecium/internal/hw"
 	"paramecium/internal/mem"
+	"paramecium/internal/mmu"
 	"paramecium/internal/obj"
 	"paramecium/internal/shm"
 )
@@ -243,7 +244,7 @@ func TestRingHangupByCondemn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.CondemnDomain(consCtx)
+	reg.CondemnDomainFrom(mmu.BootCPU, consCtx)
 	if err := r.Producer().Push([]byte("z")); !errors.Is(err, ErrHangup) {
 		t.Fatalf("push to condemned consumer = %v, want ErrHangup", err)
 	}
@@ -256,7 +257,7 @@ func TestRingHangupByCondemn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.CondemnDomain(prodCtx)
+	reg.CondemnDomainFrom(mmu.BootCPU, prodCtx)
 	if _, err := r2.Consumer().Pop(nil); !errors.Is(err, ErrHangup) {
 		t.Fatalf("pop from condemned producer = %v, want ErrHangup", err)
 	}

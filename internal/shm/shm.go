@@ -231,7 +231,7 @@ type Attachment struct {
 
 // NewSegment creates a segment of n pages owned by ctx: fresh zeroed
 // frames, mapped read-write at a kernel-chosen base in the owner's
-// address space.
+// address space, initiated from the boot CPU.
 func (r *Registry) NewSegment(owner mmu.ContextID, pages int) (*Segment, error) {
 	if pages <= 0 {
 		return nil, errors.New("shm: segment needs at least one page")
@@ -244,9 +244,9 @@ func (r *Registry) NewSegment(owner mmu.ContextID, pages int) (*Segment, error) 
 	base := r.svc.ReserveVA(owner, pages)
 	for i := 0; i < pages; i++ {
 		va := base + mmu.VAddr(i*mmu.PageSize)
-		if err := r.svc.AllocPage(owner, va, mmu.PermRead|mmu.PermWrite); err != nil {
+		if err := r.svc.AllocPageOn(mmu.BootCPU, owner, va, mmu.PermRead|mmu.PermWrite); err != nil {
 			for j := 0; j < i; j++ {
-				_ = r.svc.FreePage(owner, base+mmu.VAddr(j*mmu.PageSize))
+				_ = r.svc.FreePageOn(mmu.BootCPU, owner, base+mmu.VAddr(j*mmu.PageSize))
 			}
 			r.svc.ReleaseVA(owner, base, pages)
 			return nil, fmt.Errorf("shm: segment page %d of %d: %w", i, pages, err)
@@ -316,11 +316,8 @@ func (g *Grant) Grantee() mmu.ContextID { return g.to }
 // Rights reports the access the grant confers.
 func (g *Grant) Rights() Rights { return g.rights }
 
-// Revoke withdraws the grant; see Registry.Revoke.
-func (g *Grant) Revoke() error { return g.reg.Revoke(g.ref) }
-
 // Revoked reports whether the grant has been withdrawn (including by a
-// CondemnDomain sweep of the grantee). The granting side polls this to
+// CondemnDomainFrom sweep of the grantee). The granting side polls this to
 // learn the grantee is gone — the ring protocol reads it as hangup.
 func (g *Grant) Revoked() bool {
 	g.accessMu.RLock()
@@ -365,9 +362,9 @@ func (r *Registry) attachLocked(g *Grant) (*Attachment, error) {
 	base := r.svc.ReserveVA(g.to, g.seg.pages)
 	for i := 0; i < g.seg.pages; i++ {
 		off := mmu.VAddr(i * mmu.PageSize)
-		if err := r.svc.SharePage(g.seg.owner, g.seg.base+off, g.to, base+off, g.rights.perm()); err != nil {
+		if err := r.svc.SharePageOn(mmu.BootCPU, g.seg.owner, g.seg.base+off, g.to, base+off, g.rights.perm()); err != nil {
 			for j := 0; j < i; j++ {
-				_ = r.svc.FreePage(g.to, base+mmu.VAddr(j*mmu.PageSize))
+				_ = r.svc.FreePageOn(mmu.BootCPU, g.to, base+mmu.VAddr(j*mmu.PageSize))
 			}
 			r.svc.ReleaseVA(g.to, base, g.seg.pages)
 			return nil, fmt.Errorf("shm: attach page %d of %d: %w", i, g.seg.pages, err)
@@ -397,18 +394,9 @@ func (s *Segment) Attach(ref GrantRef) (*Attachment, error) {
 	return r.attachLocked(g)
 }
 
-// Revoke is Registry.Revoke scoped to this segment: a ref naming
-// another segment's grant is rejected with ErrNoGrant rather than
-// silently revoking a grant the caller never meant to touch. Shootdowns
-// initiate from the boot CPU; see RevokeFrom.
-func (s *Segment) Revoke(ref GrantRef) error {
-	return s.RevokeFrom(mmu.BootCPU, ref)
-}
-
-// RevokeFrom is Revoke initiated from the given CPU: the unmap sweep
-// charges TLB shootdowns only for OTHER CPUs that still held the
-// grantee-side pages cached, exactly as if the revoking domain's thread
-// ran the unmaps on its own processor.
+// RevokeFrom is Registry.RevokeFrom scoped to this segment: a ref
+// naming another segment's grant is rejected with ErrNoGrant rather
+// than silently revoking a grant the caller never meant to touch.
 func (s *Segment) RevokeFrom(initiator mmu.CPUID, ref GrantRef) error {
 	r := s.reg
 	r.mu.Lock()
@@ -445,21 +433,14 @@ func (r *Registry) CheckDeliverable(ref GrantRef, to mmu.ContextID) error {
 	return nil
 }
 
-// Revoke withdraws a grant: the segment is unmapped from the grantee's
-// context (paying the per-remote-CPU TLB shootdown charge for every
-// page a remote CPU still held cached), its frames are unreferenced,
-// and the grant becomes a tombstone — later attaches and accesses fail
-// with ErrRevoked. Revoking an already-revoked grant reports
-// ErrRevoked; an unknown ref, ErrNoGrant. Shootdowns initiate from the
-// boot CPU; see RevokeFrom.
-func (r *Registry) Revoke(ref GrantRef) error {
-	return r.RevokeFrom(mmu.BootCPU, ref)
-}
-
-// RevokeFrom is Revoke initiated from the given CPU: the unmap sweep
-// charges TLB shootdowns only for OTHER CPUs that still held the
-// grantee-side pages cached, exactly as if the revoking domain's thread
-// ran the unmaps on its own processor.
+// RevokeFrom withdraws a grant: the segment is unmapped from the
+// grantee's context, its frames are unreferenced, and the grant becomes
+// a tombstone — later attaches and accesses fail with ErrRevoked.
+// Revoking an already-revoked grant reports ErrRevoked; an unknown ref,
+// ErrNoGrant. The unmap sweep initiates from the given CPU: it charges
+// TLB shootdowns only for OTHER CPUs that still held the grantee-side
+// pages cached, exactly as if the revoking domain's thread ran the
+// unmaps on its own processor.
 func (r *Registry) RevokeFrom(initiator mmu.CPUID, ref GrantRef) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -524,17 +505,11 @@ func (r *Registry) evictTombsLocked() {
 	}
 }
 
-// Destroy revokes every grant of the segment (unmapping it from every
-// grantee, shootdown charges included), unmaps and unreferences the
-// owner's pages, and tombstones the segment. Shootdowns initiate from
-// the boot CPU; see DestroyFrom.
-func (s *Segment) Destroy() error {
-	return s.DestroyFrom(mmu.BootCPU)
-}
-
-// DestroyFrom is Destroy initiated from the given CPU: every unmap in
-// the teardown sweep charges TLB shootdowns only for OTHER CPUs that
-// still held the pages cached.
+// DestroyFrom revokes every grant of the segment (unmapping it from
+// every grantee), unmaps and unreferences the owner's pages, and
+// tombstones the segment. Every unmap in the sweep initiates from the
+// given CPU, charging TLB shootdowns only for OTHER CPUs that still
+// held the pages cached.
 func (s *Segment) DestroyFrom(initiator mmu.CPUID) error {
 	r := s.reg
 	r.mu.Lock()
@@ -580,26 +555,19 @@ func (r *Registry) sweepTombsLocked(s *Segment) {
 	r.tombs = kept
 }
 
-// CondemnDomain begins the domain's shared-memory teardown: the
+// CondemnDomainFrom begins the domain's shared-memory teardown: the
 // context is marked condemned (all future NewSegment, Grant and Attach
 // involving it fail), every grant addressed to it is revoked, and
 // every segment it owns is destroyed — revoking those segments' grants
 // in every other domain too. It runs under the same registry lock that
 // Attach maps under, so a racing attach either completes first and is
-// revoked here, or observes the condemn and fails: when CondemnDomain
-// returns, the dying domain holds no segment mapping and never will
-// again. The kernel invokes it from the proxy factory's CloseTarget
-// sweep, so one DestroyDomain quiesces calls and mappings together.
-// Teardown shootdowns are initiated from the boot CPU; use
-// CondemnDomainFrom to charge them to the true initiator.
-func (r *Registry) CondemnDomain(ctx mmu.ContextID) {
-	r.CondemnDomainFrom(mmu.BootCPU, ctx)
-}
-
-// CondemnDomainFrom is CondemnDomain initiated from the given CPU, so
-// the teardown sweep's unmaps charge shootdowns from the perspective of
-// the CPU actually running the teardown. The kernel's DestroyDomain
-// path runs on the boot CPU and uses the compatibility form.
+// revoked here, or observes the condemn and fails: when
+// CondemnDomainFrom returns, the dying domain holds no segment mapping
+// and never will again. The kernel invokes it from the proxy factory's
+// CloseTarget sweep, so one DestroyDomain quiesces calls and mappings
+// together. The sweep's unmaps initiate from the given CPU, so
+// shootdowns are charged from the perspective of the CPU running the
+// teardown (the kernel's DestroyDomain path passes the boot CPU).
 func (r *Registry) CondemnDomainFrom(initiator mmu.CPUID, ctx mmu.ContextID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -674,11 +642,11 @@ func (s *Segment) access(off int, buf []byte, write bool) error {
 	if err := bounds(off, len(buf), s.Size()); err != nil {
 		return err
 	}
-	machine := s.reg.svc.Machine()
+	cpu := s.reg.svc.Machine().CPUByID(mmu.BootCPU)
 	if write {
-		return machine.Store(s.owner, s.base+mmu.VAddr(off), buf)
+		return cpu.Store(s.owner, s.base+mmu.VAddr(off), buf)
 	}
-	return machine.Load(s.owner, s.base+mmu.VAddr(off), buf)
+	return cpu.Load(s.owner, s.base+mmu.VAddr(off), buf)
 }
 
 // Base reports the grantee-side base address of the mapping.
@@ -735,9 +703,9 @@ func (a *Attachment) access(off int, buf []byte, write bool) error {
 	if err := bounds(off, len(buf), a.Size()); err != nil {
 		return err
 	}
-	machine := g.reg.svc.Machine()
+	cpu := g.reg.svc.Machine().CPUByID(mmu.BootCPU)
 	if write {
-		return machine.Store(g.to, g.base+mmu.VAddr(off), buf)
+		return cpu.Store(g.to, g.base+mmu.VAddr(off), buf)
 	}
-	return machine.Load(g.to, g.base+mmu.VAddr(off), buf)
+	return cpu.Load(g.to, g.base+mmu.VAddr(off), buf)
 }

@@ -103,7 +103,7 @@ func TestSegmentLifecycle(t *testing.T) {
 	}
 
 	// Destroy revokes every grant and releases every frame.
-	if err := seg.Destroy(); err != nil {
+	if err := seg.DestroyFrom(mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	if err := att.Load(0, got); !errors.Is(err, ErrRevoked) {
@@ -112,7 +112,7 @@ func TestSegmentLifecycle(t *testing.T) {
 	if free := machine.Phys.FreeFrames(); free != freeBefore {
 		t.Fatalf("frames leaked: %d free, want %d", free, freeBefore)
 	}
-	if err := seg.Destroy(); !errors.Is(err, ErrDestroyed) {
+	if err := seg.DestroyFrom(mmu.BootCPU); !errors.Is(err, ErrDestroyed) {
 		t.Fatalf("second destroy = %v, want ErrDestroyed", err)
 	}
 }
@@ -136,7 +136,7 @@ func TestSegmentScopedRefsRejectForeignGrants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := segA.Revoke(gB.Ref()); !errors.Is(err, ErrNoGrant) {
+	if err := segA.RevokeFrom(mmu.BootCPU, gB.Ref()); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("segA.Revoke(refOfB) = %v, want ErrNoGrant", err)
 	}
 	if _, err := segA.Attach(gB.Ref()); !errors.Is(err, ErrNoGrant) {
@@ -151,7 +151,7 @@ func TestSegmentScopedRefsRejectForeignGrants(t *testing.T) {
 	if err := att.Store(0, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := segB.Revoke(gB.Ref()); err != nil {
+	if err := segB.RevokeFrom(mmu.BootCPU, gB.Ref()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -181,13 +181,13 @@ func TestVAReuseUnderGrantChurn(t *testing.T) {
 		} else if att.Base() != first {
 			t.Fatalf("attach %d landed at %#x, want the recycled %#x", i, uint64(att.Base()), uint64(first))
 		}
-		if err := g.Revoke(); err != nil {
+		if err := g.RevokeFrom(mmu.BootCPU); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Segment churn recycles the owner side too.
 	ownerBase := seg.Base()
-	if err := seg.Destroy(); err != nil {
+	if err := seg.DestroyFrom(mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	seg2, err := reg.NewSegment(owner, 4)
@@ -249,7 +249,7 @@ func TestConcurrentAccessDuringRevoke(t *testing.T) {
 				}
 			}()
 		}
-		_ = g.Revoke()
+		_ = g.RevokeFrom(mmu.BootCPU)
 		wg.Wait()
 	}
 	_ = machine // machine only anchors the fixture
@@ -293,7 +293,7 @@ func TestRevokeIsDistinctFromLookupFailure(t *testing.T) {
 	}
 	mappedBefore := svc.Machine().MMU.Mappings(grantee)
 
-	if err := g.Revoke(); err != nil {
+	if err := g.RevokeFrom(mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	// The grantee's mapping is gone...
@@ -308,7 +308,7 @@ func TestRevokeIsDistinctFromLookupFailure(t *testing.T) {
 	if _, err := reg.Attach(g.Ref()); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("re-attach after revoke = %v, want ErrRevoked", err)
 	}
-	if err := reg.Revoke(g.Ref()); !errors.Is(err, ErrRevoked) {
+	if err := reg.RevokeFrom(mmu.BootCPU, g.Ref()); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("double revoke = %v, want ErrRevoked", err)
 	}
 	if err := reg.CheckDeliverable(g.Ref(), grantee); !errors.Is(err, ErrRevoked) {
@@ -352,7 +352,7 @@ func TestRevokePaysRemoteShootdowns(t *testing.T) {
 		}
 	}
 	before := machine.Meter.Count(clock.OpTLBShootdown)
-	if err := g.Revoke(); err != nil {
+	if err := g.RevokeFrom(mmu.BootCPU); err != nil {
 		t.Fatal(err)
 	}
 	if got := machine.Meter.Count(clock.OpTLBShootdown) - before; got != 2 {
@@ -393,7 +393,7 @@ func TestCondemnDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg.CondemnDomain(victim)
+	reg.CondemnDomainFrom(mmu.BootCPU, victim)
 
 	// Grants TO the victim are revoked; its mappings are gone.
 	if _, err := reg.Attach(inGrant.Ref()); !errors.Is(err, ErrRevoked) {
@@ -451,7 +451,7 @@ func TestGrantLifecycleRaces(t *testing.T) {
 				peer := ctxs[(me+1+i%(domains-1))%domains]
 				g, err := seg.Grant(peer, RW)
 				if err != nil {
-					_ = seg.Destroy()
+					_ = seg.DestroyFrom(mmu.BootCPU)
 					continue
 				}
 				if att, err := reg.Attach(g.Ref()); err == nil {
@@ -459,16 +459,16 @@ func TestGrantLifecycleRaces(t *testing.T) {
 					_ = att.Load(0, make([]byte, 1))
 				}
 				if i%2 == 0 {
-					_ = g.Revoke()
+					_ = g.RevokeFrom(mmu.BootCPU)
 				}
-				_ = seg.Destroy()
+				_ = seg.DestroyFrom(mmu.BootCPU)
 			}
 		}(w)
 	}
 	wg.Wait()
 
 	for _, ctx := range ctxs {
-		reg.CondemnDomain(ctx)
+		reg.CondemnDomainFrom(mmu.BootCPU, ctx)
 	}
 	if n := reg.Segments(); n != 0 {
 		t.Fatalf("%d segments survive after every domain condemned", n)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"paramecium/internal/clock"
+	"paramecium/internal/hw"
 	"paramecium/internal/mmu"
 	"paramecium/internal/probe"
 )
@@ -20,9 +21,9 @@ import (
 //
 // Scheduler CPU k IS machine CPU k: the run-queue index, the
 // mmu.CPUID a thread reports through LastCPU, and the per-CPU TLB the
-// thread's Load/Store traffic charges (through the attached Exec
-// plane) are one identity. CPU affinity arguments are therefore typed
-// mmu.CPUID end to end, with mmu.NoCPU for "no affinity".
+// thread's Load/Store traffic charges (through the attached machine's
+// CPUByID(k)) are one identity. CPU affinity arguments are therefore
+// typed mmu.CPUID end to end, with mmu.NoCPU for "no affinity".
 //
 // Placement and steal order, in priority:
 //
@@ -57,10 +58,10 @@ type Scheduler struct {
 	rr     atomic.Uint64 // round-robin placement for unaffined threads
 	nready atomic.Int64  // threads queued across all run queues
 
-	// exec is the machine access plane dispatched threads run their
-	// simulated memory traffic against (hw.Machine implements it).
-	// Attached once at boot, before any thread body runs.
-	exec Exec
+	// machine is what dispatched threads run their simulated memory
+	// traffic against, through the CPU each is dispatched on. Attached
+	// once at boot, before any thread body runs.
+	machine *hw.Machine
 
 	// NUMA shape for placement, mirroring the machine topology's
 	// contiguous layout (CPU k lives on node k / cpusPerNode). Zero
@@ -126,31 +127,20 @@ type nodeCounter struct {
 	_ [56]byte
 }
 
-// Exec is the simulated-machine access surface dispatched threads run
-// against: the initiator-threaded Load/Store/Touch forms of
-// hw.Machine. The scheduler holds it so every thread body's simulated
-// access goes through the CPU the thread is dispatched on.
-type Exec interface {
-	LoadOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []byte) error
-	StoreOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf []byte) error
-	TouchOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) error
-	TouchTaggedOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) error
-}
-
-// ErrNoExec is returned by thread memory accesses when no machine
-// access plane has been attached (a scheduler running without a
-// machine, as in unit tests).
-var ErrNoExec = errors.New("threads: no machine access plane attached")
+// ErrNoExec is returned by thread memory accesses when no machine has
+// been attached (a scheduler running without a machine, as in unit
+// tests).
+var ErrNoExec = errors.New("threads: no machine attached")
 
 // ErrNotDispatched is returned by thread memory accesses from a thread
 // that has never been dispatched and carries no CPU binding: it has no
 // CPU identity to charge against yet.
 var ErrNotDispatched = errors.New("threads: thread has no CPU identity (never dispatched)")
 
-// AttachExec wires the machine access plane thread bodies perform
-// their simulated memory traffic through. Called once at boot, before
-// any thread body runs; the kernel attaches the machine itself.
-func (s *Scheduler) AttachExec(e Exec) { s.exec = e }
+// AttachMachine wires the machine thread bodies perform their
+// simulated memory traffic on: scheduler CPU k accesses memory through
+// m.CPUByID(k). Called once at boot, before any thread body runs.
+func (s *Scheduler) AttachMachine(m *hw.Machine) { s.machine = m }
 
 // SetTopology teaches placement the machine's NUMA shape: nodes
 // contiguous groups of cpusPerNode CPUs, matching hw.Topology's

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"paramecium/internal/hw"
 	"paramecium/internal/mmu"
 )
 
@@ -124,59 +125,37 @@ func (t *Thread) Spawn(name string, fn func(*Thread)) *Thread {
 // thread is currently dispatched on, so the access populates (and the
 // misses charge) that CPU's TLB.
 func (t *Thread) Load(ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
-	e, cpu, err := t.execCPU()
+	c, err := t.execCPU()
 	if err != nil {
 		return err
 	}
-	return e.LoadOn(cpu, ctx, va, buf)
+	return c.Load(ctx, va, buf)
 }
 
 // Store writes simulated memory at va in context ctx through the CPU
 // the thread is currently dispatched on.
 func (t *Thread) Store(ctx mmu.ContextID, va mmu.VAddr, buf []byte) error {
-	e, cpu, err := t.execCPU()
+	c, err := t.execCPU()
 	if err != nil {
 		return err
 	}
-	return e.StoreOn(cpu, ctx, va, buf)
+	return c.Store(ctx, va, buf)
 }
 
-// Touch performs a zero-length access of the given kind at va on the
-// thread's current CPU: the full translation (and fault) machinery
-// without moving data.
-func (t *Thread) Touch(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access) error {
-	e, cpu, err := t.execCPU()
-	if err != nil {
-		return err
-	}
-	return e.TouchOn(cpu, ctx, va, access)
-}
-
-// TouchTagged is Touch with a caller-supplied token delivered in the
-// trap frame of any resulting page fault.
-func (t *Thread) TouchTagged(ctx mmu.ContextID, va mmu.VAddr, access mmu.Access, token uint64) error {
-	e, cpu, err := t.execCPU()
-	if err != nil {
-		return err
-	}
-	return e.TouchTaggedOn(cpu, ctx, va, access, token)
-}
-
-// execCPU resolves the thread's execution context: the scheduler's
-// attached machine access plane plus the CPU the thread is dispatched
-// on. A thread that has never been dispatched (and carries no binding)
-// has no CPU identity yet — that is an error, never a silent fallback
-// to another CPU's TLB.
-func (t *Thread) execCPU() (Exec, mmu.CPUID, error) {
-	e := t.sched.exec
-	if e == nil {
-		return nil, mmu.NoCPU, ErrNoExec
+// execCPU resolves the thread's execution context: the attached
+// machine's CPU the thread is dispatched on. A thread that has never
+// been dispatched (and carries no binding) has no CPU identity yet —
+// that is an error, never a silent fallback to another CPU's TLB.
+func (t *Thread) execCPU() (*hw.CPU, error) {
+	m := t.sched.machine
+	if m == nil {
+		return nil, ErrNoExec
 	}
 	cpu := mmu.CPUID(t.cpu.Load())
 	if cpu == mmu.NoCPU {
-		return nil, mmu.NoCPU, ErrNotDispatched
+		return nil, ErrNotDispatched
 	}
-	return e, cpu, nil
+	return m.CPUByID(cpu), nil
 }
 
 // Promoted reports whether this thread began life as a proto-thread

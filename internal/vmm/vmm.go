@@ -96,6 +96,9 @@ func (m *Manager) DemandRegion(ctx mmu.ContextID, base mmu.VAddr, n int, perm mm
 }
 
 // handleFault resolves demand-zero, copy-on-write and swap-in faults.
+// The resolution initiates from the faulting CPU (f.CPU): it
+// invalidates its own stale TLB entries for free, and only other CPUs
+// that cached the page are charged a shootdown.
 func (m *Manager) handleFault(f *hw.TrapFrame) bool {
 	k := key{ctx: f.Ctx, vpn: f.Addr.VPN()}
 	m.mu.Lock()
@@ -110,7 +113,7 @@ func (m *Manager) handleFault(f *hw.TrapFrame) bool {
 	va := f.Addr.PageBase()
 	switch state {
 	case stateUnmapped:
-		if err := m.svc.AllocPage(f.Ctx, va, p.perm); err != nil {
+		if err := m.svc.AllocPageOn(f.CPU, f.Ctx, va, p.perm); err != nil {
 			return false
 		}
 		m.mu.Lock()
@@ -123,16 +126,18 @@ func (m *Manager) handleFault(f *hw.TrapFrame) bool {
 		if f.Access != mmu.AccessWrite {
 			return false // reads of a COW page never fault
 		}
-		return m.resolveCOW(f.Ctx, va, p)
+		return m.resolveCOW(f.CPU, f.Ctx, va, p)
 
 	case stateSwapped:
-		return m.swapIn(f.Ctx, va, p)
+		return m.swapIn(f.CPU, f.Ctx, va, p)
 	}
 	return false
 }
 
 // Clone maps the n pages at srcBase in src into dst at dstBase,
 // copy-on-write: both sides share frames read-only until one writes.
+// The downgrade and share initiate from the boot CPU, where the
+// nucleus runs domain setup.
 func (m *Manager) Clone(src mmu.ContextID, srcBase mmu.VAddr, dst mmu.ContextID, dstBase mmu.VAddr, n int) error {
 	for i := 0; i < n; i++ {
 		srcVA := srcBase + mmu.VAddr(i*mmu.PageSize)
@@ -166,10 +171,10 @@ func (m *Manager) Clone(src mmu.ContextID, srcBase mmu.VAddr, dst mmu.ContextID,
 		}
 
 		// Resident: downgrade source to read-only and share.
-		if err := m.svc.Protect(src, srcVA, mmu.PermRead); err != nil {
+		if err := m.svc.ProtectOn(mmu.BootCPU, src, srcVA, mmu.PermRead); err != nil {
 			return err
 		}
-		if err := m.svc.SharePage(src, srcVA, dst, dstVA, mmu.PermRead); err != nil {
+		if err := m.svc.SharePageOn(mmu.BootCPU, src, srcVA, dst, dstVA, mmu.PermRead); err != nil {
 			return err
 		}
 		m.mu.Lock()
@@ -186,8 +191,8 @@ func (m *Manager) Clone(src mmu.ContextID, srcBase mmu.VAddr, dst mmu.ContextID,
 }
 
 // resolveCOW gives the writing context a private copy (or upgrades in
-// place when it is the last sharer).
-func (m *Manager) resolveCOW(ctx mmu.ContextID, va mmu.VAddr, p *page) bool {
+// place when it is the last sharer), initiated from the faulting CPU.
+func (m *Manager) resolveCOW(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, p *page) bool {
 	machine := m.svc.Machine()
 	frame, ok := m.svc.Frame(ctx, va)
 	if !ok {
@@ -199,7 +204,7 @@ func (m *Manager) resolveCOW(ctx mmu.ContextID, va mmu.VAddr, p *page) bool {
 
 	if machine.Phys.RefCount(frame) == 1 {
 		// Last sharer: upgrade in place.
-		if err := m.svc.Protect(ctx, va, p.perm); err != nil {
+		if err := m.svc.ProtectOn(cpu, ctx, va, p.perm); err != nil {
 			return false
 		}
 		m.mu.Lock()
@@ -214,10 +219,10 @@ func (m *Manager) resolveCOW(ctx mmu.ContextID, va mmu.VAddr, p *page) bool {
 	}
 	contents := make([]byte, len(src))
 	copy(contents, src)
-	if err := m.svc.FreePage(ctx, va); err != nil {
+	if err := m.svc.FreePageOn(cpu, ctx, va); err != nil {
 		return false
 	}
-	if err := m.svc.AllocPage(ctx, va, p.perm); err != nil {
+	if err := m.svc.AllocPageOn(cpu, ctx, va, p.perm); err != nil {
 		return false
 	}
 	newFrame, _ := m.svc.Frame(ctx, va)
@@ -233,7 +238,8 @@ func (m *Manager) resolveCOW(ctx mmu.ContextID, va mmu.VAddr, p *page) bool {
 }
 
 // Evict pages out a resident page: its contents go to the swap store
-// and the frame is released. The next access faults and swaps in.
+// and the frame is released. The next access faults and swaps in. The
+// unmap initiates from the boot CPU, where the pager runs.
 func (m *Manager) Evict(ctx mmu.ContextID, va mmu.VAddr) error {
 	k := key{ctx: ctx, vpn: va.VPN()}
 	m.mu.Lock()
@@ -256,10 +262,10 @@ func (m *Manager) Evict(ctx mmu.ContextID, va mmu.VAddr) error {
 	}
 	contents := make([]byte, len(payload))
 	copy(contents, payload)
-	if err := m.svc.FreePage(ctx, va); err != nil {
+	if err := m.svc.FreePageOn(mmu.BootCPU, ctx, va); err != nil {
 		return err
 	}
-	// FreePage drops the fault handler too; re-register for swap-in.
+	// FreePageOn drops the fault handler too; re-register for swap-in.
 	if err := m.svc.RegisterFaultHandler(ctx, va, m.handleFault); err != nil {
 		return err
 	}
@@ -274,15 +280,16 @@ func (m *Manager) Evict(ctx mmu.ContextID, va mmu.VAddr) error {
 	return nil
 }
 
-// swapIn restores an evicted page on fault.
-func (m *Manager) swapIn(ctx mmu.ContextID, va mmu.VAddr, p *page) bool {
+// swapIn restores an evicted page on fault, initiated from the faulting
+// CPU.
+func (m *Manager) swapIn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, p *page) bool {
 	m.mu.Lock()
 	contents, ok := m.swap[p.slot]
 	m.mu.Unlock()
 	if !ok {
 		return false
 	}
-	if err := m.svc.AllocPage(ctx, va, p.perm); err != nil {
+	if err := m.svc.AllocPageOn(cpu, ctx, va, p.perm); err != nil {
 		return false
 	}
 	frame, _ := m.svc.Frame(ctx, va)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"paramecium/internal/clock"
 	"paramecium/internal/hw"
 	"paramecium/internal/mem"
 	"paramecium/internal/mmu"
@@ -17,6 +18,7 @@ func setup(frames int) (*Manager, *mem.Service, *hw.Machine) {
 
 func TestDemandZeroPaging(t *testing.T) {
 	m, svc, machine := setup(16)
+	boot := machine.CPUByID(mmu.BootCPU)
 	ctx := svc.NewDomain()
 	if err := m.DemandRegion(ctx, 0x10000, 4, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
@@ -26,14 +28,14 @@ func TestDemandZeroPaging(t *testing.T) {
 		t.Fatal("page resident before first touch")
 	}
 	free := machine.Phys.FreeFrames()
-	if err := machine.Store(ctx, 0x10008, []byte("lazy")); err != nil {
+	if err := boot.Store(ctx, 0x10008, []byte("lazy")); err != nil {
 		t.Fatal(err)
 	}
 	if machine.Phys.FreeFrames() != free-1 {
 		t.Fatal("expected exactly one frame allocated")
 	}
 	buf := make([]byte, 4)
-	if err := machine.Load(ctx, 0x10008, buf); err != nil {
+	if err := boot.Load(ctx, 0x10008, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "lazy" {
@@ -44,7 +46,7 @@ func TestDemandZeroPaging(t *testing.T) {
 		t.Fatalf("demand faults = %d", demand)
 	}
 	// Touch another page in the region.
-	if err := machine.Store(ctx, 0x12000, []byte("x")); err != nil {
+	if err := boot.Store(ctx, 0x12000, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	demand, _, _, _ = m.Stats()
@@ -66,12 +68,13 @@ func TestDemandRegionDuplicate(t *testing.T) {
 
 func TestCopyOnWrite(t *testing.T) {
 	m, svc, machine := setup(16)
+	boot := machine.CPUByID(mmu.BootCPU)
 	parent := svc.NewDomain()
 	child := svc.NewDomain()
 	if err := m.DemandRegion(parent, 0x10000, 2, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := machine.Store(parent, 0x10000, []byte("original")); err != nil {
+	if err := boot.Store(parent, 0x10000, []byte("original")); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Clone(parent, 0x10000, child, 0x20000, 2); err != nil {
@@ -79,7 +82,7 @@ func TestCopyOnWrite(t *testing.T) {
 	}
 	// Child reads the parent's data without copying.
 	buf := make([]byte, 8)
-	if err := machine.Load(child, 0x20000, buf); err != nil {
+	if err := boot.Load(child, 0x20000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "original" {
@@ -90,16 +93,16 @@ func TestCopyOnWrite(t *testing.T) {
 		t.Fatal("reads caused COW faults")
 	}
 	// Child writes: gets a private copy; parent unchanged.
-	if err := machine.Store(child, 0x20000, []byte("childown")); err != nil {
+	if err := boot.Store(child, 0x20000, []byte("childown")); err != nil {
 		t.Fatal(err)
 	}
-	if err := machine.Load(parent, 0x10000, buf); err != nil {
+	if err := boot.Load(parent, 0x10000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "original" {
 		t.Fatalf("parent sees %q after child write", buf)
 	}
-	if err := machine.Load(child, 0x20000, buf); err != nil {
+	if err := boot.Load(child, 0x20000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "childown" {
@@ -111,7 +114,7 @@ func TestCopyOnWrite(t *testing.T) {
 	}
 	// Parent writes its (now sole) copy: upgraded in place, no copy.
 	free := machine.Phys.FreeFrames()
-	if err := machine.Store(parent, 0x10000, []byte("parent2!")); err != nil {
+	if err := boot.Store(parent, 0x10000, []byte("parent2!")); err != nil {
 		t.Fatal(err)
 	}
 	if machine.Phys.FreeFrames() != free {
@@ -123,8 +126,48 @@ func TestCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestCOWFaultInitiatesFromFaultingCPU: a copy-on-write fault taken on
+// CPU 1 is resolved from CPU 1, so invalidating CPU 1's own cached
+// read-only entry is free — no shootdown IPI is charged to anyone.
+func TestCOWFaultInitiatesFromFaultingCPU(t *testing.T) {
+	machine := hw.New(hw.Config{PhysFrames: 16, CPUs: 2})
+	svc := mem.New(machine)
+	m := New(svc)
+	parent := svc.NewDomain()
+	child := svc.NewDomain()
+	if err := m.DemandRegion(parent, 0x10000, 1, mmu.PermRead|mmu.PermWrite); err != nil {
+		t.Fatal(err)
+	}
+	cpu0, cpu1 := machine.CPUByID(0), machine.CPUByID(1)
+	if err := cpu0.Store(parent, 0x10000, []byte("original")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Clone(parent, 0x10000, child, 0x20000, 1); err != nil {
+		t.Fatal(err)
+	}
+	// CPU 1 caches the child's read-only entry, then writes through it.
+	buf := make([]byte, 8)
+	if err := cpu1.Load(child, 0x20000, buf); err != nil {
+		t.Fatal(err)
+	}
+	before := machine.Meter.Count(clock.OpTLBShootdown)
+	if err := cpu1.Store(child, 0x20000, []byte("childown")); err != nil {
+		t.Fatal(err)
+	}
+	if _, cow, _, _ := m.Stats(); cow != 1 {
+		t.Fatalf("cow faults = %d, want 1", cow)
+	}
+	if got := machine.Meter.Count(clock.OpTLBShootdown) - before; got != 0 {
+		t.Fatalf("COW fault on CPU 1 charged %d shootdowns, want 0 (the initiator invalidates its own entry for free)", got)
+	}
+	if err := cpu1.Load(child, 0x20000, buf); err != nil || string(buf) != "childown" {
+		t.Fatalf("child sees %q (err %v) after its write", buf, err)
+	}
+}
+
 func TestCloneOfUntouchedPagesStaysLazy(t *testing.T) {
 	m, svc, machine := setup(16)
+	boot := machine.CPUByID(mmu.BootCPU)
 	parent := svc.NewDomain()
 	child := svc.NewDomain()
 	if err := m.DemandRegion(parent, 0x10000, 1, mmu.PermRead|mmu.PermWrite); err != nil {
@@ -134,18 +177,18 @@ func TestCloneOfUntouchedPagesStaysLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := machine.Phys.FreeFrames()
-	if err := machine.Store(child, 0x20000, []byte("c")); err != nil {
+	if err := boot.Store(child, 0x20000, []byte("c")); err != nil {
 		t.Fatal(err)
 	}
 	if machine.Phys.FreeFrames() != free-1 {
 		t.Fatal("clone of untouched page did not stay lazy")
 	}
 	// Parent's page is still untouched and independent.
-	if err := machine.Store(parent, 0x10000, []byte("p")); err != nil {
+	if err := boot.Store(parent, 0x10000, []byte("p")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 1)
-	if err := machine.Load(child, 0x20000, buf); err != nil {
+	if err := boot.Load(child, 0x20000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 'c' {
@@ -155,11 +198,12 @@ func TestCloneOfUntouchedPagesStaysLazy(t *testing.T) {
 
 func TestSwapOutIn(t *testing.T) {
 	m, svc, machine := setup(16)
+	boot := machine.CPUByID(mmu.BootCPU)
 	ctx := svc.NewDomain()
 	if err := m.DemandRegion(ctx, 0x10000, 1, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := machine.Store(ctx, 0x10000, []byte("persist me")); err != nil {
+	if err := boot.Store(ctx, 0x10000, []byte("persist me")); err != nil {
 		t.Fatal(err)
 	}
 	free := machine.Phys.FreeFrames()
@@ -174,7 +218,7 @@ func TestSwapOutIn(t *testing.T) {
 	}
 	// Touch: swap-in restores contents.
 	buf := make([]byte, 10)
-	if err := machine.Load(ctx, 0x10000, buf); err != nil {
+	if err := boot.Load(ctx, 0x10000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "persist me" {
@@ -199,7 +243,7 @@ func TestEvictErrors(t *testing.T) {
 	if err := m.Evict(ctx, 0x5000); !errors.Is(err, ErrNotMapped) {
 		t.Fatalf("untouched: %v", err)
 	}
-	if err := machine.Store(ctx, 0x5000, []byte("x")); err != nil {
+	if err := machine.CPUByID(mmu.BootCPU).Store(ctx, 0x5000, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Evict(ctx, 0x5000); err != nil {
@@ -215,6 +259,7 @@ func TestWorkingSetLargerThanMemory(t *testing.T) {
 	// 4 frames of memory, an 8-page working set: with explicit
 	// eviction the workload still completes and data survives.
 	m, svc, machine := setup(4)
+	boot := machine.CPUByID(mmu.BootCPU)
 	ctx := svc.NewDomain()
 	const pages = 8
 	if err := m.DemandRegion(ctx, 0x10000, pages, mmu.PermRead|mmu.PermWrite); err != nil {
@@ -234,7 +279,7 @@ func TestWorkingSetLargerThanMemory(t *testing.T) {
 				}
 			}
 		}
-		if err := machine.Store(ctx, va, []byte{byte(i + 1)}); err != nil {
+		if err := boot.Store(ctx, va, []byte{byte(i + 1)}); err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
 	}
@@ -254,7 +299,7 @@ func TestWorkingSetLargerThanMemory(t *testing.T) {
 			}
 		}
 		buf := make([]byte, 1)
-		if err := machine.Load(ctx, va, buf); err != nil {
+		if err := boot.Load(ctx, va, buf); err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
 		if buf[0] != byte(i+1) {
@@ -269,7 +314,7 @@ func TestCloneSwappedPageRefused(t *testing.T) {
 	if err := m.DemandRegion(a, 0x1000, 1, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := machine.Store(a, 0x1000, []byte("x")); err != nil {
+	if err := machine.CPUByID(mmu.BootCPU).Store(a, 0x1000, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Evict(a, 0x1000); err != nil {

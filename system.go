@@ -382,13 +382,15 @@ func (sg *Segment) Map(ref api.GrantRef) (*api.Attachment, error) {
 // every later attach or access through the grant fails with
 // api.ErrSegmentRevoked. A ref naming some other segment's grant is
 // rejected with api.ErrNoGrant — a mixed-up ref can never revoke a
-// grant the caller didn't mean to touch.
+// grant the caller didn't mean to touch. The unmaps initiate from the
+// boot CPU.
 func (sg *Segment) Revoke(ref api.GrantRef) error {
-	return sg.seg.Revoke(ref)
+	return sg.seg.RevokeFrom(mmu.BootCPU, ref)
 }
 
-// Destroy revokes every grant of the segment and releases its frames.
-func (sg *Segment) Destroy() error { return sg.seg.Destroy() }
+// Destroy revokes every grant of the segment and releases its frames,
+// initiating the unmaps from the boot CPU.
+func (sg *Segment) Destroy() error { return sg.seg.DestroyFrom(mmu.BootCPU) }
 
 // Store copies p into the segment at off (owner-side access).
 func (sg *Segment) Store(off int, p []byte) error { return sg.seg.Store(off, p) }

@@ -166,6 +166,7 @@ func TestMultiTenantIsolation(t *testing.T) {
 func TestVMMAsExtensionComponent(t *testing.T) {
 	w := bench.NewWorld()
 	k := w.K
+	boot := k.Machine.CPUByID(mmu.BootCPU)
 	mgr := vmm.New(k.Mem)
 	parent := k.NewDomain("parent")
 	child := k.NewDomain("child")
@@ -173,17 +174,17 @@ func TestVMMAsExtensionComponent(t *testing.T) {
 	if err := mgr.DemandRegion(parent.Ctx, 0x40000, 4, mmu.PermRead|mmu.PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Machine.Store(parent.Ctx, 0x40000, []byte("genesis")); err != nil {
+	if err := boot.Store(parent.Ctx, 0x40000, []byte("genesis")); err != nil {
 		t.Fatal(err)
 	}
 	if err := mgr.Clone(parent.Ctx, 0x40000, child.Ctx, 0x40000, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Machine.Store(child.Ctx, 0x40000, []byte("mutated")); err != nil {
+	if err := boot.Store(child.Ctx, 0x40000, []byte("mutated")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 7)
-	if err := k.Machine.Load(parent.Ctx, 0x40000, buf); err != nil {
+	if err := boot.Load(parent.Ctx, 0x40000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "genesis" {
@@ -379,7 +380,7 @@ func TestManyDomainsStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := k.Machine.Load(doms[0].Ctx, 0x1000, make([]byte, 1)); err == nil {
+	if err := k.Machine.CPUByID(mmu.BootCPU).Load(doms[0].Ctx, 0x1000, make([]byte, 1)); err == nil {
 		t.Fatal("destroyed domain still accessible")
 	}
 }

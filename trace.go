@@ -59,6 +59,12 @@ type TraceSnapshot struct {
 	// Events holds each CPU's retained event window, ordered by virtual
 	// time. Nil when the system did not boot WithTracing.
 	Events [][]api.TraceEvent
+	// Emitted counts, per CPU, every event ever recorded on that CPU's
+	// ring, and Dropped how many of them the ring has since overwritten:
+	// a timeline is complete exactly when its Dropped count is zero.
+	// Nil without WithTracing.
+	Emitted []uint64
+	Dropped []uint64
 	// Ledger holds one row per protection domain that has ever been
 	// charged, sorted by domain context id. Nil without WithTracing.
 	Ledger []api.LedgerRow
@@ -80,6 +86,12 @@ func (s *System) TraceSnapshot() *TraceSnapshot {
 	ts := &TraceSnapshot{}
 	if rec := s.k.Meter.Recorder(); rec != nil {
 		ts.Events = rec.Snapshot()
+		ts.Emitted = make([]uint64, rec.CPUs())
+		ts.Dropped = make([]uint64, rec.CPUs())
+		for cpu := range ts.Emitted {
+			ts.Emitted[cpu] = rec.Emitted(cpu)
+			ts.Dropped[cpu] = rec.Dropped(cpu)
+		}
 	}
 	if led := s.k.Meter.Ledger(); led != nil {
 		ts.Ledger = led.Snapshot()
@@ -113,9 +125,10 @@ func (ts *TraceSnapshot) WriteChrome(w io.Writer) error {
 }
 
 // WriteTimeline renders the snapshot's event timelines as per-CPU
-// text, ordered by virtual time within each CPU.
+// text, ordered by virtual time within each CPU. Each CPU's header
+// states how many older events its ring overwrote.
 func (ts *TraceSnapshot) WriteTimeline(w io.Writer) error {
-	return probe.WriteTimeline(w, ts.Events)
+	return probe.WriteTimeline(w, ts.Events, ts.Dropped)
 }
 
 // WriteMethods renders the snapshot's interposed-tracer histograms:

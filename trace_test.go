@@ -9,6 +9,8 @@ package paramecium_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -248,6 +250,41 @@ func TestTraceAcceptance(t *testing.T) {
 	if len(chrome.TraceEvents) < events {
 		t.Fatalf("chrome export has %d entries for %d recorded events",
 			len(chrome.TraceEvents), events)
+	}
+}
+
+// TestTraceRingLossIsReported: a ring too small for the workload laps,
+// and the snapshot says so instead of truncating silently — every
+// emitted event is either retained or counted as overwritten, and the
+// timeline header carries the loss.
+func TestTraceRingLossIsReported(t *testing.T) {
+	sys, err := paramecium.Boot(
+		paramecium.WithCPUs(1),
+		paramecium.WithTracing(paramecium.TraceOptions{RingCapacity: 8}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	traceWorkload(t, sys)
+
+	snap := sys.TraceSnapshot()
+	if len(snap.Emitted) != 1 || len(snap.Dropped) != 1 || len(snap.Events) != 1 {
+		t.Fatalf("snapshot covers %d/%d/%d CPUs, want 1", len(snap.Emitted), len(snap.Dropped), len(snap.Events))
+	}
+	if snap.Dropped[0] == 0 {
+		t.Fatalf("8-slot ring reports no loss after %d events", snap.Emitted[0])
+	}
+	if got := snap.Dropped[0] + uint64(len(snap.Events[0])); snap.Emitted[0] != got {
+		t.Fatalf("emitted %d != dropped %d + retained %d", snap.Emitted[0], snap.Dropped[0], len(snap.Events[0]))
+	}
+	var buf bytes.Buffer
+	if err := snap.WriteTimeline(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("== cpu 0 (%d events, %d overwritten) ==\n", len(snap.Events[0]), snap.Dropped[0])
+	if !strings.HasPrefix(buf.String(), want) {
+		t.Fatalf("timeline header = %q, want prefix %q", strings.SplitN(buf.String(), "\n", 2)[0], want)
 	}
 }
 
