@@ -72,14 +72,8 @@ func main() {
 	threshold := flag.Float64("threshold", 0.20, "maximum allowed cycles/op regression, as a fraction")
 	benchtime := flag.String("benchtime", "", "the -benchtime the run used (e.g. 2000x), recorded in the report and checked against the baseline")
 	minParallel := flag.Float64("minparallel", 0, "minimum serialized-to-parallel ns/op ratio (P0/P1); 0 disables the ratio gate")
-	pSerial := flag.String("pserial", "BenchmarkP0_SerializedProxyCall", "serialized benchmark for the ratio gate")
-	pParallel := flag.String("pparallel", "BenchmarkP1_ParallelProxyCall", "parallel benchmark for the ratio gate")
 	minScaling := flag.Float64("minscaling", 0, "minimum single-CPU-to-scaled ns/op ratio on the topology-scaling invoke pair; 0 disables the scaling gate")
-	sBase := flag.String("sbase", "BenchmarkP9_TopologyScaling/cpus=1/work=invoke", "single-CPU benchmark for the scaling gate")
-	sScaled := flag.String("sscaled", "BenchmarkP9_TopologyScaling/cpus=16/work=invoke", "scaled-up benchmark for the scaling gate")
 	minGrouped := flag.Float64("mingrouped", 0, "minimum in-order-to-grouped cycles/op ratio on the mixed-target batch pair; 0 disables the grouped-dispatch gate")
-	gInOrder := flag.String("ginorder", "BenchmarkP8_MixedTargetBatch/targets=2/size=16/mode=inorder", "in-order benchmark for the grouped-dispatch gate")
-	gGrouped := flag.String("ggrouped", "BenchmarkP8_MixedTargetBatch/targets=2/size=16/mode=grouped", "grouped benchmark for the grouped-dispatch gate")
 	allocGate := flag.String("allocgate", "", "comma-separated benchmarks whose allocs/op must not exceed the baseline (empty: no allocs gate)")
 	flag.Parse()
 
@@ -129,100 +123,13 @@ func main() {
 		}
 	}
 
-	// The serialized-to-parallel ratio gate. Absolute ns/op on shared
-	// runners is noise, but the RATIO of the same workload run behind
-	// one mutex versus concurrently is a property of the code: if the
-	// invocation plane reacquires a global serialization point (MMU
-	// mutex, single runqueue, per-interface slot), the parallel run
-	// degrades to the serialized one and the ratio collapses toward —
-	// or below — 1. Gated against the current run alone, no baseline
-	// needed.
-	if *minParallel > 0 {
-		p0, p1 := report.Benchmarks[*pSerial], report.Benchmarks[*pParallel]
-		switch {
-		case report.GoMaxProcs < 2:
-			// With one processor there is no parallelism for the ratio
-			// to measure: serialized and concurrent runs do the same
-			// work, and the ratio is pure noise around 1. Skip, loudly.
-			fmt.Fprintln(os.Stderr, "note: ratio gate skipped at GOMAXPROCS=1 (no parallelism to measure)")
-		case p0 == nil || p1 == nil:
-			fmt.Fprintf(os.Stderr, "FAIL: ratio gate needs both %s and %s in the run\n", *pSerial, *pParallel)
-			os.Exit(1)
-		case p0.NsPerOp <= 0 || p1.NsPerOp <= 0:
-			fmt.Fprintf(os.Stderr, "FAIL: ratio gate needs ns/op for %s and %s\n", *pSerial, *pParallel)
-			os.Exit(1)
-		default:
-			ratio := p0.NsPerOp / p1.NsPerOp
-			if ratio < *minParallel {
-				fmt.Fprintf(os.Stderr, "FAIL: serialized/parallel ratio %.2f < %.2f required (%s %.1f ns/op vs %s %.1f ns/op) — the parallel plane has re-serialized\n",
-					ratio, *minParallel, *pSerial, p0.NsPerOp, *pParallel, p1.NsPerOp)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "benchgate: serialized/parallel ratio %.2f (>= %.2f required)\n", ratio, *minParallel)
+	for _, g := range ratioGates(*minParallel, *minScaling, *minGrouped) {
+		if g.min <= 0 {
+			continue
 		}
-	}
-
-	// The topology-scaling ratio gate. Same shape as the P0/P1 ratio
-	// gate: wall-clock scaling of the simulated machine is bounded by
-	// the host's parallelism, so absolute ns/op is noise but the RATIO
-	// of the same per-worker workload on a 1-CPU versus a 16-CPU
-	// machine is structural — if thread dispatch, per-CPU TLBs or the
-	// node-aware run queues reacquire a global serialization point, the
-	// 16-CPU run degrades to the 1-CPU run and the ratio collapses
-	// toward 1. Gated against the current run alone, no baseline
-	// needed; skipped below 4 processors, where the floor cannot be
-	// reached even in principle.
-	if *minScaling > 0 {
-		s1, s16 := report.Benchmarks[*sBase], report.Benchmarks[*sScaled]
-		switch {
-		case report.GoMaxProcs < 4:
-			// The ratio is capped by host parallelism: at GOMAXPROCS<4 a
-			// 2x floor is unreachable no matter how well the simulated
-			// machine scales. Skip, loudly.
-			fmt.Fprintf(os.Stderr, "note: scaling gate skipped at GOMAXPROCS=%d (needs >=4 processors to measure scaling)\n", report.GoMaxProcs)
-		case s1 == nil || s16 == nil:
-			fmt.Fprintf(os.Stderr, "FAIL: scaling gate needs both %s and %s in the run\n", *sBase, *sScaled)
+		if msg := g.check(report); msg != "" {
+			fmt.Fprintln(os.Stderr, "FAIL:", msg)
 			os.Exit(1)
-		case s1.NsPerOp <= 0 || s16.NsPerOp <= 0:
-			fmt.Fprintf(os.Stderr, "FAIL: scaling gate needs ns/op for %s and %s\n", *sBase, *sScaled)
-			os.Exit(1)
-		default:
-			ratio := s1.NsPerOp / s16.NsPerOp
-			if ratio < *minScaling {
-				fmt.Fprintf(os.Stderr, "FAIL: cpus=1/cpus=16 scaling ratio %.2f < %.2f required (%s %.1f ns/op vs %s %.1f ns/op) — the topology no longer scales\n",
-					ratio, *minScaling, *sBase, s1.NsPerOp, *sScaled, s16.NsPerOp)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "benchgate: cpus=1/cpus=16 scaling ratio %.2f (>= %.2f required)\n", ratio, *minScaling)
-		}
-	}
-
-	// The grouped-dispatch ratio gate. Unlike the P0/P1 ratio this one
-	// compares cycles/op — the deterministic virtual-cycle metric — so
-	// it holds on any runner shape, GOMAXPROCS=1 included: an
-	// alternating mixed-target batch pays one crossing per entry in
-	// order-preserving mode, and grouped dispatch must keep paying only
-	// one per distinct target. If the ratio collapses, grouped mode has
-	// stopped partitioning (or in-order dispatch got charged less than
-	// a crossing per entry — either way the vectoring contract broke).
-	// Gated against the current run alone, no baseline needed.
-	if *minGrouped > 0 {
-		gi, gg := report.Benchmarks[*gInOrder], report.Benchmarks[*gGrouped]
-		switch {
-		case gi == nil || gg == nil:
-			fmt.Fprintf(os.Stderr, "FAIL: grouped-dispatch gate needs both %s and %s in the run\n", *gInOrder, *gGrouped)
-			os.Exit(1)
-		case gi.CyclesPerOp <= 0 || gg.CyclesPerOp <= 0:
-			fmt.Fprintf(os.Stderr, "FAIL: grouped-dispatch gate needs cycles/op for %s and %s\n", *gInOrder, *gGrouped)
-			os.Exit(1)
-		default:
-			ratio := gi.CyclesPerOp / gg.CyclesPerOp
-			if ratio < *minGrouped {
-				fmt.Fprintf(os.Stderr, "FAIL: in-order/grouped ratio %.2f < %.2f required (%s %.1f cycles/op vs %s %.1f cycles/op) — grouped dispatch no longer amortizes mixed-target crossings\n",
-					ratio, *minGrouped, *gInOrder, gi.CyclesPerOp, *gGrouped, gg.CyclesPerOp)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "benchgate: in-order/grouped ratio %.2f (>= %.2f required)\n", ratio, *minGrouped)
 		}
 	}
 
@@ -245,6 +152,89 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "benchgate: %d benchmarks, gate passed (threshold %.0f%%)\n",
 		len(report.Benchmarks), *threshold*100)
+}
+
+// The benchmark pairs the ratio gates compare.
+const (
+	pSerial   = "BenchmarkP0_SerializedProxyCall"
+	pParallel = "BenchmarkP1_ParallelProxyCall"
+	sBase     = "BenchmarkP9_TopologyScaling/cpus=1/work=invoke"
+	sScaled   = "BenchmarkP9_TopologyScaling/cpus=16/work=invoke"
+	gInOrder  = "BenchmarkP8_MixedTargetBatch/targets=2/size=16/mode=inorder"
+	gGrouped  = "BenchmarkP8_MixedTargetBatch/targets=2/size=16/mode=grouped"
+)
+
+// ratioGate holds the ratio num/den of one metric over a pair of
+// benchmarks in the current run at or above min. It needs no baseline:
+// absolute host ns/op on shared runners is noise, but the ratio of the
+// same work run two ways is a property of the code.
+type ratioGate struct {
+	gate     string  // the gate's name in diagnostics
+	ratio    string  // what the ratio compares, e.g. "serialized/parallel"
+	num, den string  // the benchmark pair
+	cycles   bool    // compare cycles/op rather than host ns/op
+	minProcs int     // skip below this run GOMAXPROCS
+	skipWhy  string  // why the gate cannot measure below minProcs
+	broken   string  // what a ratio under the floor means
+	min      float64 // the floor; 0 disables the gate
+}
+
+// ratioGates lists the ratio gates with their floors.
+func ratioGates(minParallel, minScaling, minGrouped float64) []ratioGate {
+	return []ratioGate{
+		// The same workload behind one mutex versus concurrently: if
+		// the invocation plane reacquires a global serialization point
+		// (MMU mutex, single runqueue, per-interface slot), the parallel
+		// run degrades to the serialized one and the ratio collapses
+		// toward — or below — 1. With one processor the two runs do the
+		// same work and the ratio is pure noise around 1.
+		{gate: "ratio gate", ratio: "serialized/parallel", num: pSerial, den: pParallel,
+			minProcs: 2, skipWhy: "no parallelism to measure",
+			broken: "the parallel plane has re-serialized", min: minParallel},
+		// The same per-worker workload on a 1-CPU versus a 16-CPU
+		// machine: if thread dispatch, per-CPU TLBs or the node-aware
+		// run queues reacquire a global serialization point, the ratio
+		// collapses toward 1. It is capped by host parallelism, so
+		// below 4 processors a 2x floor is unreachable in principle.
+		{gate: "scaling gate", ratio: "cpus=1/cpus=16 scaling", num: sBase, den: sScaled,
+			minProcs: 4, skipWhy: "needs >=4 processors to measure scaling",
+			broken: "the topology no longer scales", min: minScaling},
+		// Virtual cycles, so it holds on any runner shape: an
+		// alternating mixed-target batch pays one crossing per entry in
+		// order-preserving mode, and grouped dispatch must keep paying
+		// only one per distinct target. A collapse means grouped mode
+		// stopped partitioning, or in-order dispatch got charged less
+		// than a crossing per entry.
+		{gate: "grouped-dispatch gate", ratio: "in-order/grouped", num: gInOrder, den: gGrouped,
+			cycles: true, broken: "grouped dispatch no longer amortizes mixed-target crossings",
+			min: minGrouped},
+	}
+}
+
+// check evaluates the gate against the run. It returns the failure,
+// or "" after noting the pass or the skip on stderr.
+func (g ratioGate) check(report *Report) string {
+	unit, value := "ns/op", func(r *Result) float64 { return r.NsPerOp }
+	if g.cycles {
+		unit, value = "cycles/op", func(r *Result) float64 { return r.CyclesPerOp }
+	}
+	num, den := report.Benchmarks[g.num], report.Benchmarks[g.den]
+	switch {
+	case report.GoMaxProcs < g.minProcs:
+		fmt.Fprintf(os.Stderr, "note: %s skipped at GOMAXPROCS=%d (%s)\n", g.gate, report.GoMaxProcs, g.skipWhy)
+		return ""
+	case num == nil || den == nil:
+		return fmt.Sprintf("%s needs both %s and %s in the run", g.gate, g.num, g.den)
+	case value(num) <= 0 || value(den) <= 0:
+		return fmt.Sprintf("%s needs %s for %s and %s", g.gate, unit, g.num, g.den)
+	}
+	ratio := value(num) / value(den)
+	if ratio < g.min {
+		return fmt.Sprintf("%s ratio %.2f < %.2f required (%s %.1f %s vs %s %.1f %s) — %s",
+			g.ratio, ratio, g.min, g.num, value(num), unit, g.den, value(den), unit, g.broken)
+	}
+	fmt.Fprintf(os.Stderr, "benchgate: %s ratio %.2f (>= %.2f required)\n", g.ratio, ratio, g.min)
+	return ""
 }
 
 // gateAllocs holds the named benchmarks' allocs/op at or below the

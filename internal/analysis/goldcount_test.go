@@ -10,7 +10,7 @@ func TestGoldenCounts(t *testing.T) {
 	}{
 		{ChargePath, "testdata/src/chargepath", 4},
 		{LockOrder, "testdata/src/lockorder", 3},
-		{HotpathAlloc, "testdata/src/hotpathalloc", 8},
+		{HotpathAlloc, "testdata/src/hotpathalloc", 9},
 		{AtomicMix, "testdata/src/atomicmix", 2},
 		{CPUState, "testdata/src/cpustate", 3},
 		{ProbeSafe, "testdata/src/probesafe", 8},

@@ -86,9 +86,7 @@ func (h *hotpathAlloc) checkFunc(fn *ast.FuncDecl) {
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				if _, ok := n.X.(*ast.CompositeLit); ok && !implementsError(h.pass.TypesInfo.TypeOf(n)) {
-					// Error values (&Fault{...} and friends) are exempt:
-					// constructing an error is the off-hot-path outcome.
+				if _, ok := n.X.(*ast.CompositeLit); ok {
 					h.pass.Reportf(n.Pos(), "hot path takes the address of a composite literal (escapes to heap)")
 				}
 			}
@@ -198,14 +196,6 @@ func calleeSignature(info *types.Info, call *ast.CallExpr) (*types.Signature, bo
 	}
 	sig, ok := t.Underlying().(*types.Signature)
 	return sig, ok
-}
-
-// errorIface is the universe error interface.
-var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-// implementsError reports whether t satisfies the error interface.
-func implementsError(t types.Type) bool {
-	return t != nil && types.Implements(t, errorIface)
 }
 
 // isExemptBoxer exempts error-path formatting calls (fmt.*, errors.*):

@@ -223,11 +223,11 @@ func TestRegisterTrap(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := m.Syscall(mmu.KernelContext, 42)
+	ok, err := m.RaiseTrap(&hw.TrapFrame{Vector: hw.TrapSyscall, Ctx: mmu.KernelContext, Arg: 42, CPU: mmu.BootCPU})
 	if err != nil || !ok {
 		t.Fatalf("syscall(42) = %v, %v", ok, err)
 	}
-	ok, err = m.Syscall(mmu.KernelContext, 7)
+	ok, err = m.RaiseTrap(&hw.TrapFrame{Vector: hw.TrapSyscall, Ctx: mmu.KernelContext, Arg: 7, CPU: mmu.BootCPU})
 	if err != nil || ok {
 		t.Fatalf("syscall(7) = %v, %v", ok, err)
 	}

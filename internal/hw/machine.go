@@ -66,8 +66,7 @@ type TrapFrame struct {
 	Ctx    mmu.ContextID
 	Addr   mmu.VAddr // faulting address, if any
 	Access mmu.Access
-	Fault  *mmu.Fault // populated for page-fault traps
-	Arg    uint64     // syscall number or device-specific argument
+	Arg    uint64 // syscall number or device-specific argument
 	// Tag is a caller-supplied value threaded from CPU.TouchTagged
 	// through to the fault handler. Reentrant handlers (the cross-domain
 	// proxy) carry per-call state in it, so concurrent faults on one
@@ -244,6 +243,8 @@ func (m *Machine) UnmaskIRQ(line IRQLine) error {
 // RaiseTrap delivers a synchronous trap, charging trap entry and exit.
 // It returns the handler's verdict (meaningful for page faults) or
 // ErrNoHandler.
+//
+//paramecium:hotpath
 func (m *Machine) RaiseTrap(frame *TrapFrame) (bool, error) {
 	if frame.CPU < 0 || int(frame.CPU) >= len(m.cpus) {
 		// Rejected up front: handlers index per-CPU state (delivery
@@ -313,7 +314,7 @@ func (m *Machine) accessOn(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, buf [
 	for len(buf) > 0 {
 		pa, err := m.translateWithFaults(cpu, ctx, va, kind, nil)
 		if err != nil {
-			return err
+			return fmt.Errorf("hw: %s of context %d at %#x: %w", kind, ctx, uint64(va), err)
 		}
 		n := mmu.PageSize - int(va.Offset())
 		if n > len(buf) {
@@ -353,15 +354,19 @@ var trapFramePool = sync.Pool{New: func() any { return new(TrapFrame) }}
 // translateWithFaults translates va on one CPU, delivering a
 // page-fault trap on failure and retrying once if the handler reports
 // the fault resolved. The trap frame carries the CPU, so the handler's
-// own crossings and TLB traffic charge against the faulting CPU.
+// own crossings and TLB traffic charge against the faulting CPU. An
+// unresolved fault is returned as its bare mmu.FaultKind: every
+// cross-domain call ends that way, so it must not allocate.
+//
+//paramecium:hotpath
 func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.VAddr, kind mmu.Access, tag any) (mmu.PAddr, error) {
 	for attempt := 0; ; attempt++ {
 		pa, err := m.MMU.TranslateOn(cpu, ctx, va, kind)
 		if err == nil {
 			return pa, nil
 		}
-		var f *mmu.Fault
-		if !errors.As(err, &f) {
+		f, ok := err.(mmu.FaultKind)
+		if !ok {
 			return 0, err
 		}
 		if attempt > 0 {
@@ -379,7 +384,6 @@ func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.V
 			Ctx:    ctx,
 			Addr:   va,
 			Access: kind,
-			Fault:  f,
 			Tag:    tag,
 			CPU:    cpu,
 		}
@@ -393,12 +397,6 @@ func (m *Machine) translateWithFaults(cpu mmu.CPUID, ctx mmu.ContextID, va mmu.V
 			return 0, f
 		}
 	}
-}
-
-// Syscall raises the syscall trap with the given argument, modelling a
-// user-to-kernel protected entry. It returns the handler's verdict.
-func (m *Machine) Syscall(ctx mmu.ContextID, arg uint64) (bool, error) {
-	return m.RaiseTrap(&TrapFrame{Vector: TrapSyscall, Ctx: ctx, Arg: arg})
 }
 
 // AttachDevice registers a device and its I/O region, and wires the

@@ -112,7 +112,10 @@ func (a Access) perm() Perm {
 	}
 }
 
-// FaultKind classifies a translation fault.
+// FaultKind classifies a translation fault. A fault is a value:
+// TranslateOn and ProtectOn return the kind itself as their error
+// (never FaultNone), so a fault costs no allocation and callers
+// recover it with a type assertion or errors.Is.
 type FaultKind uint8
 
 // Fault kinds.
@@ -137,21 +140,8 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("fault(%d)", uint8(k))
 }
 
-// Fault describes a failed translation. It implements error so the MMU
-// can return it directly from TranslateOn.
-type Fault struct {
-	Kind    FaultKind
-	Ctx     ContextID
-	Addr    VAddr
-	Access  Access
-	Present Perm // permissions of the PTE, if one was present
-}
-
 // Error implements the error interface.
-func (f *Fault) Error() string {
-	return fmt.Sprintf("mmu: %s fault in context %d at %#x (%s access, page perms %s)",
-		f.Kind, f.Ctx, uint64(f.Addr), f.Access, f.Present)
-}
+func (k FaultKind) Error() string { return "mmu: " + k.String() + " fault" }
 
 // ContextID names an MMU context (an address space). Context 0 is the
 // kernel context by convention.
@@ -494,7 +484,7 @@ func (m *MMU) UnmapOn(initiator CPUID, id ContextID, va VAddr) error {
 // ProtectOn changes the permissions of an existing mapping, initiated
 // from the given CPU: that CPU invalidates its own stale TLB entry for
 // free, and only other CPUs holding the entry are charged a shootdown
-// IPI.
+// IPI. An unmapped page fails with FaultNoMapping.
 func (m *MMU) ProtectOn(initiator CPUID, id ContextID, va VAddr, perm Perm) error {
 	m.cpu(initiator) // validate the initiator up front
 	pt, ok := m.pageTableOf(id)
@@ -508,7 +498,7 @@ func (m *MMU) ProtectOn(initiator CPUID, id ContextID, va VAddr, perm Perm) erro
 	}
 	pte, ok := pt.entries[va.VPN()]
 	if !ok || !pte.Valid {
-		return &Fault{Kind: FaultNoMapping, Ctx: id, Addr: va}
+		return FaultNoMapping
 	}
 	pte.Perm = perm
 	pt.entries[va.VPN()] = pte
@@ -571,7 +561,7 @@ func (m *MMU) Lookup(id ContextID, va VAddr) (PTE, bool) {
 
 // TranslateOn resolves va in context id for the given access kind on
 // one CPU, charging TLB and page-table costs against that CPU's TLB. On
-// failure it returns a *Fault. Translation is sharded: a hit touches
+// failure its error is the FaultKind. Translation is sharded: a hit touches
 // only the CPU's own TLB, and a miss walks the context's page table
 // under that context's lock — translations in unrelated contexts, or
 // on distinct CPUs, never serialize on a global mutex.
@@ -581,7 +571,7 @@ func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAd
 	c := m.cpu(cpu)
 	pt, ok := m.pageTableOf(id)
 	if !ok {
-		return 0, &Fault{Kind: FaultBadContext, Ctx: id, Addr: va, Access: access}
+		return 0, FaultBadContext
 	}
 	vpn := va.VPN()
 	c.mu.Lock()
@@ -589,7 +579,7 @@ func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAd
 		frame, perm := e.frame, e.perm
 		c.mu.Unlock()
 		if !perm.Has(access.perm()) {
-			return 0, &Fault{Kind: FaultProtection, Ctx: id, Addr: va, Access: access, Present: perm}
+			return 0, FaultProtection
 		}
 		return PAddr(frame<<PageShift | va.Offset()), nil
 	}
@@ -605,16 +595,16 @@ func (m *MMU) TranslateOn(cpu CPUID, id ContextID, va VAddr, access Access) (PAd
 	pt.mu.RLock()
 	if pt.dead {
 		pt.mu.RUnlock()
-		return 0, &Fault{Kind: FaultBadContext, Ctx: id, Addr: va, Access: access}
+		return 0, FaultBadContext
 	}
 	pte, ok := pt.entries[vpn]
 	if !ok || !pte.Valid {
 		pt.mu.RUnlock()
-		return 0, &Fault{Kind: FaultNoMapping, Ctx: id, Addr: va, Access: access}
+		return 0, FaultNoMapping
 	}
 	if !pte.Perm.Has(access.perm()) {
 		pt.mu.RUnlock()
-		return 0, &Fault{Kind: FaultProtection, Ctx: id, Addr: va, Access: access, Present: pte.Perm}
+		return 0, FaultProtection
 	}
 	c.mu.Lock()
 	c.tlb.insert(id, vpn, pte.Frame, pte.Perm)

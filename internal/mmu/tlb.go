@@ -9,7 +9,7 @@ package mmu
 // access, so the counters here are plain integers.
 type tlb struct {
 	size    int
-	entries map[tlbKey]*tlbEntry
+	entries map[tlbKey]tlbEntry
 	fifo    []tlbKey // insertion order, oldest first
 	hits    uint64
 	misses  uint64
@@ -33,11 +33,11 @@ type tlbEntry struct {
 func newTLB(size int) *tlb {
 	return &tlb{
 		size:    size,
-		entries: make(map[tlbKey]*tlbEntry, size),
+		entries: make(map[tlbKey]tlbEntry, size),
 	}
 }
 
-func (t *tlb) lookup(ctx ContextID, vpn uint64) (*tlbEntry, bool) {
+func (t *tlb) lookup(ctx ContextID, vpn uint64) (tlbEntry, bool) {
 	e, ok := t.entries[tlbKey{ctx, vpn}]
 	if ok {
 		t.hits++
@@ -50,13 +50,13 @@ func (t *tlb) lookup(ctx ContextID, vpn uint64) (*tlbEntry, bool) {
 func (t *tlb) insert(ctx ContextID, vpn, frame uint64, perm Perm) {
 	k := tlbKey{ctx, vpn}
 	if _, ok := t.entries[k]; ok {
-		t.entries[k] = &tlbEntry{frame: frame, perm: perm}
+		t.entries[k] = tlbEntry{frame: frame, perm: perm}
 		return
 	}
 	for len(t.entries) >= t.size {
 		t.evictOldest()
 	}
-	t.entries[k] = &tlbEntry{frame: frame, perm: perm}
+	t.entries[k] = tlbEntry{frame: frame, perm: perm}
 	t.fifo = append(t.fifo, k)
 }
 

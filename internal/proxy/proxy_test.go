@@ -365,3 +365,40 @@ func TestStrayEntryTouchIsUnresolved(t *testing.T) {
 		t.Fatalf("total after stray touches = %v, %v; want 0 (add never ran)", res, err)
 	}
 }
+
+// TestCrossDomainCallIntoZeroAlloc: a cross-domain CallInto with a
+// caller-supplied result buffer into a BindInto target allocates
+// nothing. The entry-page fault that drives every crossing stays
+// unresolved by design, so the fault it reports must be a value.
+func TestCrossDomainCallIntoZeroAlloc(t *testing.T) {
+	f, svc, m := setup()
+	o := obj.New("counter", m.Meter)
+	n := 0
+	bi, err := o.AddInterface(batchDecl, &n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi.MustBindInto("inc", func(out []any, _ ...any) ([]any, error) {
+		n++
+		return append(out, &n), nil
+	})
+	p, err := f.New(svc.NewDomain(), svc.NewDomain(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, _ := p.Iface("test.batch.v1")
+	inc, err := iv.Resolve("inc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf [1]any
+	allocs := testing.AllocsPerRun(1000, func() {
+		res, err := inc.CallInto(buf[:0])
+		if err != nil || len(res) != 1 {
+			t.Fatalf("CallInto = %v, %v", res, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cross-domain CallInto allocates %.1f allocs/op, want 0", allocs)
+	}
+}
